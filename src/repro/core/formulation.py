@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -129,8 +130,10 @@ class Formulation:
         self.model: Model = Model(f"{ddg.name}@T={t_period}")
         # Backref for backends that need formulation structure rather
         # than bare rows (the SAT lowering reads slot windows, pair
-        # verdicts and reservation shapes straight from here).
-        self.model._formulation = self
+        # verdicts and reservation shapes straight from here).  Weak, so
+        # a finished formulation's model graph is freed by refcounting
+        # instead of waiting for the cyclic GC in long-lived workers.
+        self.model._formulation = weakref.ref(self)
         self.a: List[List[Optional[Variable]]] = []   # a[t][i]; None = pruned
         self.k: List[Variable] = []
         self.t_expr: List[LinExpr] = []

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Generic, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Generic, Optional, Tuple, TypeVar
 
 from repro.core.bounds import LowerBounds, lower_bounds
 from repro.core.formulation import Formulation, FormulationOptions
@@ -31,15 +31,29 @@ V = TypeVar("V")
 
 
 class LruCache(Generic[K, V]):
-    """A small, None-safe LRU map (``None`` is never a cached value)."""
+    """A small, None-safe LRU map (``None`` is never a cached value).
 
-    def __init__(self, maxsize: int = 256) -> None:
+    With ``weigh`` and ``max_weight`` the summed weight of the entries
+    is bounded too: older entries are evicted until it fits, but the
+    newest entry always stays, however heavy.
+    """
+
+    def __init__(
+        self,
+        maxsize: int = 256,
+        max_weight: Optional[int] = None,
+        weigh: Optional[Callable[[V], int]] = None,
+    ) -> None:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
+        self.max_weight = max_weight
+        self._weigh = weigh
+        self.weight = 0
         self.hits = 0
         self.misses = 0
         self._data: "OrderedDict[K, V]" = OrderedDict()
+        self._weights: Dict[K, int] = {}
 
     def __len__(self) -> int:
         return len(self._data)
@@ -55,17 +69,27 @@ class LruCache(Generic[K, V]):
         return value
 
     def put(self, key: K, value: V) -> None:
+        self.pop(key)
         self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
+        if self._weigh is not None:
+            self._weights[key] = self._weigh(value)
+            self.weight += self._weights[key]
+        while len(self._data) > self.maxsize or (
+            self.max_weight is not None
+            and self.weight > self.max_weight
+            and len(self._data) > 1
+        ):
+            self.pop(next(iter(self._data)))
 
     def pop(self, key: K) -> Optional[V]:
         """Remove and return ``key``'s value (None if absent); no counters."""
+        self.weight -= self._weights.pop(key, 0)
         return self._data.pop(key, None)
 
     def clear(self) -> None:
         self._data.clear()
+        self._weights.clear()
+        self.weight = 0
         self.hits = 0
         self.misses = 0
 
@@ -96,7 +120,15 @@ def machine_digest(machine: Machine) -> str:
 
 
 _BOUNDS_CACHE: LruCache[Tuple[str, str], LowerBounds] = LruCache(1024)
-_FORMULATION_CACHE: LruCache[tuple, Formulation] = LruCache(64)
+#: Built formulations are the heavy entries (~160 bytes of Python
+#: objects per model nonzero), and batch, race and serve workers live
+#: for many loops, so their summed nonzeros are capped as well.
+FORMULATION_NONZERO_BUDGET = 8_192
+_FORMULATION_CACHE: LruCache[tuple, Formulation] = LruCache(
+    64,
+    max_weight=FORMULATION_NONZERO_BUDGET,
+    weigh=lambda f: f.model_stats.nonzeros if f.model_stats else 0,
+)
 _WARMSTART_CACHE: LruCache[Tuple[str, str, int], WarmStart] = LruCache(512)
 
 

@@ -65,7 +65,8 @@ def solve_sat(
     mip_start: Optional[Dict[Variable, float]] = None,
 ) -> Solution:
     """Backend-dispatch entry point (called by :func:`repro.ilp.solve.solve`)."""
-    formulation = getattr(model, "_formulation", None)
+    ref = getattr(model, "_formulation", None)
+    formulation = ref() if ref is not None else None
     if formulation is None or formulation.model is not model:
         raise SolverError(
             "the sat backend lowers the scheduling formulation, not "

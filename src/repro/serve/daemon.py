@@ -68,6 +68,7 @@ from repro.serve.jobs import (
     QUEUED,
     RUNNING,
     Job,
+    follower_entry,
     request_config,
     solve_args,
     solve_request,
@@ -530,11 +531,26 @@ class ServeDaemon:
         self._account_finished(job)
         job.event.set()
         for follower in followers:
+            f_state, f_entry, f_error, f_failure = state, entry, error, failure
+            if entry is not None:
+                # A follower is never served a schedule that does not
+                # verify on its own loop.
+                try:
+                    f_entry = follower_entry(
+                        job.request, follower.request, entry
+                    )
+                except Exception as exc:  # noqa: BLE001
+                    f_state, f_entry = FAILED, None
+                    f_error = (
+                        "coalesced schedule does not carry over to this "
+                        f"loop: {type(exc).__name__}: {exc}"
+                    )
+                    f_failure = {"kind": "verification", "detail": f_error}
             with self._registry_lock:
-                follower.state = state
-                follower.entry = entry
-                follower.error = error
-                follower.failure = failure
+                follower.state = f_state
+                follower.entry = f_entry
+                follower.error = f_error
+                follower.failure = f_failure
                 follower.finished_at = job.finished_at
             self._journal_done(follower)
             self._account_finished(follower, coalesced=True)

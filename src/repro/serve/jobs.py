@@ -16,10 +16,15 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.schedule import Schedule
 from repro.core.scheduler import AttemptConfig
+from repro.core.verify import verify_schedule
+from repro.ddg.builders import parse_ddg
 from repro.machine import presets
 from repro.parallel import cache
 from repro.parallel.batch import BatchEntry
+from repro.store.entry import schedule_from_canonical, schedule_to_canonical
+from repro.store.tiering import cached_canonical_form
 from repro.supervision import faults
 
 #: Job lifecycle states (terminal: done/failed/shed/cancelled).
@@ -133,7 +138,6 @@ def solve_request(
     breaker needs real per-backend failures to count.
     """
     from repro.core.scheduler import run_sweep
-    from repro.ddg.builders import parse_ddg
 
     machine = presets.by_name(machine_name)
     ddg = parse_ddg(text)
@@ -163,6 +167,40 @@ def solve_request(
         num_ops=ddg.num_ops,
         result=result,
     ).to_json_dict()
+
+
+def follower_entry(
+    primary: Dict[str, object], follower: Dict[str, object], entry: dict
+) -> dict:
+    """The primary's finished entry, as an answer to a coalesced follower.
+
+    Requests coalesce on the canonical store key, so a follower may be
+    a renamed or reordered variant of the primary's loop.  Its schedule
+    then goes through the store-hit path: permuted into the primary
+    loop's canonical order, mapped back through the follower's own, and
+    re-verified against the follower's loop.  Byte-identical
+    submissions get the entry verbatim.  Raises
+    :class:`~repro.core.errors.VerificationError` (or a parse/mapping
+    error) when the schedule does not carry over.
+    """
+    if follower["ddg"] == primary["ddg"]:
+        return entry
+    machine = presets.by_name(str(follower["machine"]))
+    ddg = parse_ddg(str(follower["ddg"]))
+    remapped = dict(entry, name=ddg.name)
+    if entry.get("schedule") is None:
+        return remapped
+    source = parse_ddg(str(primary["ddg"]))
+    canonical = schedule_to_canonical(
+        Schedule.from_dict(entry["schedule"], source, machine),
+        cached_canonical_form(source).order,
+    )
+    schedule = schedule_from_canonical(
+        canonical, ddg, machine, cached_canonical_form(ddg).order
+    )
+    verify_schedule(schedule)
+    remapped["schedule"] = schedule.to_dict()
+    return remapped
 
 
 def solve_args(

@@ -91,6 +91,57 @@ def _warmstart_from_json(data: Optional[dict]) -> Optional[WarmStartStats]:
     )
 
 
+def schedule_to_canonical(schedule: Schedule, order: List[int]) -> dict:
+    """``schedule``'s payload with starts/colors in canonical op order.
+
+    ``order`` is the scheduled loop's canonical order (canonical
+    position ``p`` is op ``order[p]``).
+    """
+    starts = [0] * len(order)
+    colors: Dict[str, int] = {}
+    for p, old in enumerate(order):
+        starts[p] = schedule.starts[old]
+        if old in schedule.colors:
+            colors[str(p)] = schedule.colors[old]
+    return {
+        "t_period": schedule.t_period,
+        "starts": starts,
+        "colors": colors,
+        "fu_counts_used": schedule.fu_counts_used,
+    }
+
+
+def schedule_from_canonical(
+    sched: dict, ddg: Ddg, machine: Machine, order: List[int]
+) -> Schedule:
+    """Map a canonical-order payload onto ``ddg`` (canonical ``order``).
+
+    Raises :class:`EntryError` when the payload does not fit the loop;
+    a malformed payload raises KeyError/TypeError/ValueError/IndexError.
+    The result is not verified — callers run the verifier.
+    """
+    starts_canon = [int(v) for v in sched["starts"]]
+    if len(starts_canon) != ddg.num_ops or len(order) != ddg.num_ops:
+        raise EntryError(
+            f"entry has {len(starts_canon)} starts for a "
+            f"{ddg.num_ops}-op loop"
+        )
+    starts = [0] * ddg.num_ops
+    for p, value in enumerate(starts_canon):
+        starts[order[p]] = value
+    colors: Dict[int, int] = {}
+    for key, value in (sched.get("colors") or {}).items():
+        colors[order[int(key)]] = int(value)
+    return Schedule(
+        ddg=ddg,
+        machine=machine,
+        t_period=int(sched["t_period"]),
+        starts=starts,
+        colors=colors,
+        fu_counts_used=sched.get("fu_counts_used"),
+    )
+
+
 def result_to_entry(
     result: SchedulingResult,
     form: CanonicalForm,
@@ -107,13 +158,6 @@ def result_to_entry(
     schedule = result.schedule
     if schedule is None:
         raise EntryError("only results with a schedule are storable")
-    pos_of = {old: p for p, old in enumerate(form.order)}
-    starts = [0] * len(form.order)
-    colors: Dict[str, int] = {}
-    for old, p in pos_of.items():
-        starts[p] = schedule.starts[old]
-        if old in schedule.colors:
-            colors[str(p)] = schedule.colors[old]
     return {
         "store_version": STORE_VERSION,
         "ddg_digest": form.digest,
@@ -133,12 +177,7 @@ def result_to_entry(
             },
             "attempts": [attempt_to_json(a) for a in result.attempts],
             "warmstart": _warmstart_to_json(result.warmstart),
-            "schedule": {
-                "t_period": schedule.t_period,
-                "starts": starts,
-                "colors": colors,
-                "fu_counts_used": schedule.fu_counts_used,
-            },
+            "schedule": schedule_to_canonical(schedule, form.order),
         },
     }
 
@@ -159,26 +198,8 @@ def entry_to_result(
     """
     try:
         payload = entry["result"]
-        sched = payload["schedule"]
-        starts_canon = [int(v) for v in sched["starts"]]
-        if len(starts_canon) != ddg.num_ops or len(order) != ddg.num_ops:
-            raise EntryError(
-                f"entry has {len(starts_canon)} starts for a "
-                f"{ddg.num_ops}-op loop"
-            )
-        starts = [0] * ddg.num_ops
-        for p, value in enumerate(starts_canon):
-            starts[order[p]] = value
-        colors: Dict[int, int] = {}
-        for key, value in (sched.get("colors") or {}).items():
-            colors[order[int(key)]] = int(value)
-        schedule = Schedule(
-            ddg=ddg,
-            machine=machine,
-            t_period=int(sched["t_period"]),
-            starts=starts,
-            colors=colors,
-            fu_counts_used=sched.get("fu_counts_used"),
+        schedule = schedule_from_canonical(
+            payload["schedule"], ddg, machine, order
         )
         bounds = LowerBounds(
             t_dep=int(payload["bounds"]["t_dep"]),

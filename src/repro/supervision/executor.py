@@ -362,18 +362,22 @@ class SupervisedExecutor:
         for at least one task to finish; returns possibly-empty on
         timeout and immediately when nothing is outstanding.  Within one
         call the supervisor keeps dispatching, reaping replies, killing
-        over-deadline workers and re-queuing retries.
+        over-deadline workers and re-queuing retries; finished tasks are
+        returned before idle workers get new ones.
         """
         wait_until = (
             None if timeout is None else time.monotonic() + timeout
         )
         while True:
             self._reap()
-            self._dispatch()
+            # Deliver verdicts before refilling idle workers, so the
+            # caller can cancel queued work a verdict made moot instead
+            # of killing it a moment after it started.
             if self._done:
                 drained = list(self._done)
                 self._done.clear()
                 return drained
+            self._dispatch()
             if not self.outstanding():
                 return []
             now = time.monotonic()

@@ -48,6 +48,38 @@ class TestLruCache:
         assert lru.get("a") is None  # really gone: this is the only miss
         assert lru.misses == 1
 
+    def test_weight_budget_evicts_oldest(self):
+        lru = cache.LruCache(maxsize=10, max_weight=10, weigh=len)
+        lru.put("a", "xxxx")
+        lru.put("b", "xxxx")
+        lru.get("a")          # refresh a; b is now least-recent
+        lru.put("c", "xxxx")
+        assert lru.get("b") is None
+        assert lru.get("a") == "xxxx" and lru.get("c") == "xxxx"
+        assert lru.weight == 8
+        lru.put("a", "x")     # replacing re-weighs the entry
+        assert lru.weight == 5
+        assert lru.pop("c") == "xxxx" and lru.weight == 1
+
+    def test_newest_entry_kept_over_budget(self):
+        lru = cache.LruCache(maxsize=10, max_weight=10, weigh=len)
+        lru.put("a", "x")
+        lru.put("big", "x" * 50)
+        assert len(lru) == 1 and lru.get("big") is not None
+        lru.clear()
+        assert lru.weight == 0 and len(lru) == 0
+
+    def test_formulation_cache_is_nonzero_budgeted(self):
+        ddg, machine = motivating_example(), motivating_machine()
+        for t in range(4, 12):
+            cache.cached_formulation(ddg, machine, t)
+        lru = cache._FORMULATION_CACHE
+        assert len(lru) == 8
+        assert lru.weight == sum(
+            f.model_stats.nonzeros for f in lru._data.values()
+        )
+        assert 0 < lru.weight <= cache.FORMULATION_NONZERO_BUDGET
+
 
 class TestDigests:
     def test_ddg_digest_is_content_based(self):

@@ -8,6 +8,9 @@ feasible/infeasible verdict per (loop, T), and the Solution metadata
 (stats, budget clamps, warm-start short-circuit) must round-trip.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.bounds import lower_bounds, modulo_feasible_t
@@ -21,11 +24,13 @@ from repro.ilp.errors import SolverError
 from repro.ilp.solution import SolveStatus
 from repro.ilp.solve import set_process_time_budget, solve
 from repro.machine.presets import motivating_machine
+from repro.parallel.cache import cached_formulation, clear_caches
 from repro.sat.backend import (
     SAT_CARD_ENV,
     encode_stats,
     reset_encode_stats,
     solve_formulation,
+    solve_sat,
 )
 from repro.sat.errors import SatEncodeError
 
@@ -217,3 +222,59 @@ class TestBudgetClamp:
         stats = outcome.attempt.model_stats
         assert stats.get("effective_time_limit") == 5.0
         assert stats.get("time_limit_clamped") == 1.0
+
+
+#: The SolverError text for a model with no live formulation behind it.
+BARE_MODEL_MESSAGE = (
+    "the sat backend lowers the scheduling formulation, not bare rows; "
+    "build the model through repro.core.Formulation (bare Models are "
+    "ILP-only)"
+)
+
+
+class TestFormulationLifetime:
+    """Finished formulations are freed by refcounting, not the cyclic GC.
+
+    Long-lived batch workers schedule many loops; a model -> formulation
+    back-reference cycle would leave every finished model graph waiting
+    for a GC pass.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _gc_off(self):
+        clear_caches()
+        gc.collect()
+        gc.disable()
+        try:
+            yield
+        finally:
+            gc.enable()
+            clear_caches()
+
+    def test_freed_without_gc_after_sat_and_highs(self, machine):
+        f = cached_formulation(motivating_example(), machine, 4)
+        sat = solve(f.model, backend="sat")
+        highs = solve(f.model, backend="highs")
+        assert sat.status == highs.status == SolveStatus.OPTIMAL
+        ref = weakref.ref(f)
+        del f, sat, highs
+        clear_caches()
+        assert ref() is None
+
+    def test_bare_model_message_unchanged(self):
+        m = Model("bare")
+        x = m.add_var("x", lb=0, ub=1, integer=True)
+        m.add(x >= 1)
+        with pytest.raises(SolverError) as err:
+            solve_sat(m)
+        assert str(err.value) == BARE_MODEL_MESSAGE
+
+    def test_model_outliving_its_formulation_is_bare(self, machine):
+        f = _formulation(motivating_example(), machine, 4)
+        model = f.model
+        ref = weakref.ref(f)
+        del f
+        assert ref() is None
+        with pytest.raises(SolverError) as err:
+            solve_sat(model)
+        assert str(err.value) == BARE_MODEL_MESSAGE

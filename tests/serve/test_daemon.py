@@ -6,18 +6,26 @@ White-box assertions (breaker state, stats counters) go straight to
 the in-process daemon object, which is thread-safe by design.
 """
 
+import random
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.ddg.builders import serialize_ddg
+from repro.core.schedule import Schedule
+from repro.ddg.builders import parse_ddg, serialize_ddg
 from repro.ddg.kernels import daxpy, dot_product, livermore_kernel1
+from repro.ddg.transforms import scrambled
+from repro.machine.presets import by_name
 from repro.serve.client import ServeError
 from repro.serve.config import ServeConfig
 from repro.serve.journal import ServeJournal, read_serve_journal
+from repro.sim import simulate
+from repro.supervision.faults import ENV_VAR
 from repro.supervision.journal import config_digest
 
 MACHINE = "powerpc604"
+CORPUS = Path(__file__).resolve().parents[2] / "corpus"
 
 DOT = serialize_ddg(dot_product())
 DAXPY = serialize_ddg(daxpy())
@@ -80,6 +88,42 @@ class TestCoalescing:
         assert done_first["entry"]["achieved_t"] == \
             done_second["entry"]["achieved_t"]
         assert host.daemon.stats.count("coalesced") == 1
+
+    def test_renamed_follower_gets_its_own_verified_schedule(
+        self, daemon_factory, monkeypatch
+    ):
+        """A scrambled copy coalesced onto an in-flight job must get a
+        schedule for *its* op order, not the primary's verbatim."""
+        primary_ddg = parse_ddg(
+            (CORPUS / "loop0005.ddg").read_text(encoding="utf-8")
+        )
+        follower_ddg = scrambled(primary_ddg, random.Random(1))
+        # The scramble really permutes ops, so a verbatim copy of the
+        # primary's starts would break the follower's dependences.
+        assert [op.op_class for op in follower_ddg.ops] != [
+            op.op_class for op in primary_ddg.ops
+        ]
+        # Hold the primary's solve open so the follower coalesces.
+        monkeypatch.setenv(
+            ENV_VAR, "hang@solve:loop=loop0005:seconds=1.5"
+        )
+        client = daemon_factory().start()
+        first = client.submit(serialize_ddg(primary_ddg), MACHINE)
+        second = client.submit(serialize_ddg(follower_ddg), MACHINE)
+        assert second["coalesced_with"] == first["job"]
+        done_first = client.wait_for(first["job"], timeout=60)
+        done_second = client.wait_for(second["job"], timeout=10)
+        assert done_first["state"] == done_second["state"] == "done"
+        machine = by_name(MACHINE)
+        for doc, ddg in ((done_first, primary_ddg),
+                         (done_second, follower_ddg)):
+            entry = doc["entry"]
+            assert entry["name"] == ddg.name
+            schedule = Schedule.from_dict(entry["schedule"], ddg, machine)
+            report = simulate(schedule, iterations=8)
+            assert report.ok, report.violations
+        assert done_second["entry"]["achieved_t"] == \
+            done_first["entry"]["achieved_t"]
 
     def test_different_requests_do_not_coalesce(self, daemon_factory):
         client = daemon_factory().start()

@@ -253,6 +253,21 @@ class TestKillTask:
             # The kill is not a failure: poll never re-delivers it.
             assert executor.poll(timeout=0.0) == []
 
+    def test_verdict_delivered_before_next_task_starts(self):
+        """A finished task comes back while the freed worker is still
+        idle, so work its verdict made moot is cancelled, not killed."""
+        with SupervisedExecutor(max_workers=1) as executor:
+            first = executor.submit(_double, 1)
+            moot = executor.submit(_sleep, 60.0)
+            finished = []
+            while not finished:
+                finished = executor.poll(timeout=5.0)
+            assert finished == [first]
+            assert executor.kill_task(moot)
+            # It never started: no worker was signaled for it.
+            assert moot.started_at is None
+            assert len(executor.live_children()) == 1
+
     def test_kill_pending_task_cancels(self):
         with SupervisedExecutor(max_workers=1) as executor:
             executor.submit(_sleep, 2.0)

@@ -449,3 +449,76 @@ class TestPortfolioSupervised:
             time.sleep(0.05)
             leftover = [p for p in leftover if p.is_alive()]
         assert leftover == []
+
+
+class TestBatchPortfolioFallback:
+    """Backend-major portfolio batches keep the fallback chain intact.
+
+    A first choice that fails hands its loop to the next backends at
+    the batch's tail; a loop no backend schedules settles to
+    :func:`repro.parallel.batch._pick_fallback`'s entry.
+    """
+
+    ROSTER = ("highs", "bnb", "sat")
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        machine = powerpc604()
+        rng = random.Random(5)
+        config = GeneratorConfig(min_ops=2, max_ops=5)
+        paths = []
+        for i in range(6):
+            ddg = random_ddg(rng, machine, config, name=f"f{i}")
+            path = tmp_path / f"f{i}.ddg"
+            path.write_text(serialize_ddg(ddg), encoding="utf-8")
+            paths.append(path)
+        return machine, paths
+
+    def test_failed_first_choice_falls_back(self, monkeypatch, corpus):
+        from repro.parallel.batch import _pick_fallback
+
+        machine, paths = corpus
+        crashed, lost = "f1", "f3"
+        healthy = [p.stem for p in paths if p.stem not in (crashed, lost)]
+        clauses = [
+            f"crash@batch:loop={crashed}:backend=highs",
+            f"crash@batch:loop={lost}",
+        ]
+        # Healthy loops' siblings hang, so highs wins them by
+        # construction even when a sibling starts at the tail.
+        clauses += [
+            f"hang@batch:loop={name}:backend={backend}:seconds=60"
+            for name in healthy for backend in ("bnb", "sat")
+        ]
+        monkeypatch.setenv(ENV_VAR, ",".join(clauses))
+        report = run_batch(
+            paths, machine, jobs=2, time_limit_per_t=10.0,
+            policy=NO_RETRY, backends=self.ROSTER,
+        )
+        by_name = {e.name: e for e in report.entries}
+
+        rescued = by_name[crashed]
+        assert rescued.scheduled
+        assert rescued.portfolio["winner_backend"] in ("bnb", "sat")
+        assert rescued.portfolio["losers"]["highs"] == CRASH
+
+        for name in healthy:
+            record = by_name[name].portfolio
+            assert record["winner_backend"] == "highs"
+            assert set(record["losers"]) == {"bnb", "sat"}
+
+        # Every backend crashed on the lost loop: it settles to the
+        # entry _pick_fallback chooses among three errored candidates,
+        # with the other two dispositions recorded.
+        settled = by_name[lost]
+        assert not settled.scheduled
+        assert settled.failure.kind == CRASH
+        record = settled.portfolio
+        assert record["winner_backend"] is None
+        fallback_name, _ = _pick_fallback(
+            {b: settled for b in self.ROSTER}, self.ROSTER
+        )
+        assert record["losers"] == {
+            b: CRASH for b in self.ROSTER if b != fallback_name
+        }
+        assert report.failed == 1
