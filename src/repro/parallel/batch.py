@@ -50,7 +50,7 @@ from repro.ddg.graph import Ddg
 from repro.machine import Machine
 from repro.parallel import cache
 from repro.parallel.race import (
-    _init_worker,
+    _cell_executor,
     _validate_roster,
     default_jobs,
     default_portfolio,
@@ -68,7 +68,7 @@ from repro.supervision.records import (
     FailureRecord,
     SupervisionPolicy,
 )
-from repro.supervision.executor import SupervisedExecutor
+from repro.supervision.executor import RUNNING
 from repro.supervision.signals import interrupted
 
 #: Report schema version (bump on incompatible changes).
@@ -691,7 +691,12 @@ def run_batch(
     """Schedule every loop reachable from ``paths`` across ``jobs`` workers.
 
     Results always come back in input order (directories expand to
-    sorted file lists).  ``jobs=1`` runs in-process with no pool.
+    sorted file lists).  One driver runs every mode: ``jobs=1`` runs
+    in-process on an
+    :class:`~repro.supervision.executor.InlineExecutor` (no pool), and
+    any larger ``jobs`` is always supervised, even for a single loop.
+    Loops are queued biggest first (by DDG text size), so small loops
+    fill the workers in at the batch's tail.
 
     ``policy`` tunes the supervision layer around each worker (deadline,
     memory cap, retries); with the default policy loops run unbounded
@@ -713,13 +718,13 @@ def run_batch(
     with a schedule wins the loop.  Cells are queued backend-major:
     every loop's first roster backend runs before any loop's second,
     so a winner's siblings are normally cancelled while still queued.
-    Within each backend's round the biggest loops (by DDG text size)
-    go first, so small loops fill the workers in at the batch's tail.
-    A sibling starts only on a worker with no first-choice cell left
-    (the batch's tail, or after a first choice failed or came back
+    Within each backend's round the biggest loops go first.  A sibling
+    starts only on a worker with no first-choice cell left (the
+    batch's tail, or after a first choice failed or came back
     unscheduled), and is killed if its loop is won meanwhile.  The
     trade-off: mid-batch, a hard loop's second backend starts only
-    when a worker idles.  Worker processes cannot nest pools, so the
+    when a worker idles.  With ``jobs=1`` the roster is an ordered
+    fallback chain per loop.  Worker processes cannot nest pools, so the
     per-period portfolio of :func:`repro.parallel.race_periods` stays
     a race-driver feature.  The winning entry carries a ``portfolio``
     record naming the winner and every loser's disposition.
@@ -728,15 +733,12 @@ def run_batch(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     policy = policy or SupervisionPolicy()
-    roster: Optional[Tuple[str, ...]] = None
+    roster = (backend,)
     if backends is not None:
         roster = _validate_roster(backends, objective)
-        backend = "portfolio"
     elif backend == "portfolio":
         roster = default_portfolio(objective)
-    if roster is not None and len(roster) == 1:
-        backend = roster[0]
-        roster = None
+    backend = roster[0] if len(roster) == 1 else "portfolio"
     config = AttemptConfig(
         backend=backend,
         objective=objective,
@@ -792,27 +794,10 @@ def run_batch(
                 continue
             to_run.append((index, text, label))
 
-        if roster is not None:
-            if jobs == 1:
-                _run_inline_portfolio(
-                    to_run, entries, machine, config, roster, max_extra,
-                    writer, store_path,
-                )
-            else:
-                _run_pool_portfolio(
-                    to_run, entries, machine, config, roster, max_extra,
-                    jobs, time_limit_per_t, policy, writer, store_path,
-                )
-        elif jobs == 1 or len(to_run) <= 1:
-            _run_inline(
-                to_run, entries, machine, config, max_extra, writer,
-                store_path,
-            )
-        else:
-            _run_pool(
-                to_run, entries, machine, config, max_extra, jobs,
-                time_limit_per_t, policy, writer, store_path,
-            )
+        _run_cells(
+            to_run, entries, machine, config, roster, max_extra, jobs,
+            time_limit_per_t, policy, writer, store_path,
+        )
     finally:
         if writer is not None:
             writer.close()
@@ -833,113 +818,14 @@ def _journal_entry(writer: Optional[BatchJournal], index: int,
         )
 
 
-def _interrupted_entry(name: str, label: str) -> BatchEntry:
-    failure = FailureRecord(
-        kind=INTERRUPTED, detail="batch interrupted (SIGINT/SIGTERM)"
-    )
+def _failed_entry(label: str, failure: FailureRecord) -> BatchEntry:
+    """The entry for a loop lost to a supervision event."""
+    name = Path(label).stem if label != "<memory>" else label
     return BatchEntry(
         name=name, source=label, num_ops=0,
         error=f"loop {name!r} ({label}): {failure.summary()}",
         failure=failure,
     )
-
-
-def _run_inline(
-    to_run: List[tuple],
-    entries: List[Optional[BatchEntry]],
-    machine: Machine,
-    config: AttemptConfig,
-    max_extra: int,
-    writer: Optional[BatchJournal],
-    store_path: Optional[str] = None,
-) -> None:
-    """jobs=1 path: schedule in-process, still journaled/interruptible."""
-    for index, text, label in to_run:
-        if interrupted():
-            name = Path(label).stem if label != "<memory>" else label
-            entries[index] = _interrupted_entry(name, label)
-            _journal_entry(writer, index, entries[index])
-            continue
-        entries[index] = _schedule_source(
-            text, label, machine, config, max_extra, store_path
-        )
-        _journal_entry(writer, index, entries[index])
-
-
-def _run_pool(
-    to_run: List[tuple],
-    entries: List[Optional[BatchEntry]],
-    machine: Machine,
-    config: AttemptConfig,
-    max_extra: int,
-    jobs: int,
-    time_limit_per_t: Optional[float],
-    policy: SupervisionPolicy,
-    writer: Optional[BatchJournal],
-    store_path: Optional[str] = None,
-) -> None:
-    """Supervised pool path: one task per loop, failures isolated."""
-    executor = SupervisedExecutor(
-        max_workers=min(jobs, len(to_run)),
-        policy=policy,
-        initializer=_init_worker,
-        initargs=(time_limit_per_t,),
-    )
-    index_of = {}
-    label_of = {}
-    try:
-        for index, text, label in to_run:
-            task = executor.submit(
-                _schedule_source, text, label, machine, config,
-                max_extra, store_path, tag=index,
-            )
-            index_of[task] = index
-            label_of[task] = label
-        outstanding = len(to_run)
-        while outstanding:
-            if interrupted():
-                for task in executor.abort(
-                    INTERRUPTED, "batch interrupted (SIGINT/SIGTERM)"
-                ):
-                    index = index_of.pop(task, None)
-                    if index is None:
-                        continue
-                    label = label_of[task]
-                    name = (
-                        Path(label).stem if label != "<memory>" else label
-                    )
-                    entry = BatchEntry(
-                        name=name, source=label, num_ops=0,
-                        error=f"loop {name!r} ({label}): "
-                              f"{task.failure.summary()}",
-                        failure=task.failure,
-                    )
-                    entries[index] = entry
-                    _journal_entry(writer, index, entry)
-                    outstanding -= 1
-                continue
-            for task in executor.poll(timeout=0.25):
-                index = index_of.pop(task, None)
-                if index is None:
-                    continue
-                label = label_of[task]
-                if task.failure is not None:
-                    name = (
-                        Path(label).stem if label != "<memory>" else label
-                    )
-                    entry = BatchEntry(
-                        name=name, source=label, num_ops=0,
-                        error=f"loop {name!r} ({label}): "
-                              f"{task.failure.summary()}",
-                        failure=task.failure,
-                    )
-                else:
-                    entry = task.result
-                entries[index] = entry
-                _journal_entry(writer, index, entry)
-                outstanding -= 1
-    finally:
-        executor.shutdown()
 
 
 def _pick_fallback(
@@ -970,66 +856,7 @@ def _loser_disposition(entry: Optional[BatchEntry]) -> str:
     return "unscheduled"
 
 
-def _run_inline_portfolio(
-    to_run: List[tuple],
-    entries: List[Optional[BatchEntry]],
-    machine: Machine,
-    config: AttemptConfig,
-    roster: Tuple[str, ...],
-    max_extra: int,
-    writer: Optional[BatchJournal],
-    store_path: Optional[str] = None,
-) -> None:
-    """jobs=1 portfolio: per loop, backends as an ordered fallback chain.
-
-    The first backend that schedules the loop wins it; the rest never
-    run (recorded as cancelled losers).  In the common case — the first
-    backend succeeds — this costs exactly one sweep, same as a
-    single-backend batch.
-    """
-    configs = {
-        name: replace(config, backend=name) for name in roster
-    }
-    for index, text, label in to_run:
-        if interrupted():
-            name = Path(label).stem if label != "<memory>" else label
-            entries[index] = _interrupted_entry(name, label)
-            _journal_entry(writer, index, entries[index])
-            continue
-        candidates: Dict[str, BatchEntry] = {}
-        winner_backend: Optional[str] = None
-        for name in roster:
-            entry = _schedule_source(
-                text, label, machine, configs[name], max_extra,
-                store_path,
-            )
-            candidates[name] = entry
-            if entry.scheduled:
-                winner_backend = name
-                break
-        if winner_backend is not None:
-            winner = candidates[winner_backend]
-            rep_name = winner_backend
-        else:
-            rep_name, winner = _pick_fallback(candidates, roster)
-        losers = {
-            name: _loser_disposition(candidates.get(name))
-            for name in roster if name != rep_name
-        }
-        winner.portfolio = {
-            "backends": list(roster),
-            "winner_backend": winner_backend,
-            "losers": losers,
-            "killed_running": 0,
-            "cancelled_queued": sum(
-                1 for name in roster if name not in candidates
-            ),
-        }
-        entries[index] = winner
-        _journal_entry(writer, index, winner)
-
-
-def _run_pool_portfolio(
+def _run_cells(
     to_run: List[tuple],
     entries: List[Optional[BatchEntry]],
     machine: Machine,
@@ -1042,37 +869,38 @@ def _run_pool_portfolio(
     writer: Optional[BatchJournal],
     store_path: Optional[str] = None,
 ) -> None:
-    """Portfolio pool: one worker task per (loop, backend) cell.
+    """Run one task per (loop, backend) cell; a single backend is a
+    roster of one.
 
     Cells are queued backend-major — every loop's first roster backend
-    before any loop's second, and so on — so this is the jobs=1
-    fallback chain (:func:`_run_inline_portfolio`) with idle workers
-    racing the next backend.  The first backend to return a
-    *scheduled* entry wins the loop; its siblings are dropped from the
-    queue or, if one already started on an idle worker, killed (bounded
-    escalation).  A backend that fails or comes back unscheduled loses
-    only its own cell; if every backend misses, the loop settles to the
-    best fallback entry (:func:`_pick_fallback`) with the other
-    dispositions recorded.
+    before any loop's second, and so on — so with ``jobs=1`` this is an
+    ordered fallback chain, and with more workers idle ones race the
+    next backend.  The first backend to return a *scheduled* entry wins
+    the loop; its siblings are dropped from the queue or, if one
+    already started on an idle worker, killed (bounded escalation).  A
+    backend that fails or comes back unscheduled loses only its own
+    cell; if every backend misses, the loop settles to the best
+    fallback entry (:func:`_pick_fallback`) with the other dispositions
+    recorded.  Only a real portfolio attaches a ``portfolio`` record.
     """
-    from repro.supervision.executor import RUNNING
-
+    portfolio = len(roster) > 1
     configs = {
         name: replace(config, backend=name) for name in roster
     }
-    executor = SupervisedExecutor(
-        max_workers=min(jobs, len(to_run) * len(roster)),
-        policy=policy,
-        initializer=_init_worker,
-        initargs=(time_limit_per_t,),
+    executor = _cell_executor(
+        jobs, len(to_run) * len(roster), policy, time_limit_per_t
     )
-    tasks_of: Dict[int, Dict[str, object]] = {}
-    label_of: Dict[int, str] = {}
-    candidates: Dict[int, Dict[str, BatchEntry]] = {}
+    label_of = {index: label for index, _text, label in to_run}
+    tasks_of: Dict[int, Dict[str, object]] = {i: {} for i in label_of}
+    candidates: Dict[int, Dict[str, BatchEntry]] = {
+        i: {} for i in label_of
+    }
     settled: set = set()
 
     def settle(index: int, winner_backend: Optional[str],
-               winner: BatchEntry) -> None:
+               winner: BatchEntry, rep_name: Optional[str] = None) -> None:
+        # Siblings that already reported are refused by kill_task, so
+        # a fallback or interrupted settle counts no kills.
         killed = 0
         cancelled = 0
         for name, task in tasks_of[index].items():
@@ -1084,26 +912,23 @@ def _run_pool_portfolio(
                     killed += 1
                 else:
                     cancelled += 1
-        losers = {
-            name: _loser_disposition(candidates[index].get(name))
-            for name in roster if name != winner_backend
-        }
-        winner.portfolio = {
-            "backends": list(roster),
-            "winner_backend": winner_backend,
-            "losers": losers,
-            "killed_running": killed,
-            "cancelled_queued": cancelled,
-        }
+        if portfolio:
+            rep_name = rep_name or winner_backend
+            winner.portfolio = {
+                "backends": list(roster),
+                "winner_backend": winner_backend,
+                "losers": {
+                    name: _loser_disposition(candidates[index].get(name))
+                    for name in roster if name != rep_name
+                },
+                "killed_running": killed,
+                "cancelled_queued": cancelled,
+            }
         entries[index] = winner
         _journal_entry(writer, index, winner)
         settled.add(index)
 
     try:
-        for index, _text, label in to_run:
-            label_of[index] = label
-            candidates[index] = {}
-            tasks_of[index] = {}
         # Backend-major: every loop's first choice is queued ahead of
         # any loop's second, so a winner's siblings are usually still
         # queued (cancelled for free) rather than running (killed).
@@ -1122,49 +947,19 @@ def _run_pool_portfolio(
                 )
         while len(settled) < len(to_run):
             if interrupted():
-                executor.abort(
-                    INTERRUPTED, "batch interrupted (SIGINT/SIGTERM)"
-                )
-                for index, _text, label in to_run:
-                    if index in settled:
-                        continue
-                    name = (
-                        Path(label).stem if label != "<memory>"
-                        else label
-                    )
-                    entry = _interrupted_entry(name, label)
-                    entry.portfolio = {
-                        "backends": list(roster),
-                        "winner_backend": None,
-                        "losers": {
-                            b: _loser_disposition(
-                                candidates[index].get(b)
-                            )
-                            for b in roster
-                        },
-                        "killed_running": 0,
-                        "cancelled_queued": 0,
-                    }
-                    entries[index] = entry
-                    _journal_entry(writer, index, entry)
-                    settled.add(index)
+                reason = "batch interrupted (SIGINT/SIGTERM)"
+                executor.abort(INTERRUPTED, reason)
+                for index, label in label_of.items():
+                    if index not in settled:
+                        failure = FailureRecord(INTERRUPTED, detail=reason)
+                        settle(index, None, _failed_entry(label, failure))
                 break
             for task in executor.poll(timeout=0.25):
                 index, name = task.tag
                 if index in settled:
                     continue
                 if task.failure is not None:
-                    label = label_of[index]
-                    loop_name = (
-                        Path(label).stem if label != "<memory>"
-                        else label
-                    )
-                    cell = BatchEntry(
-                        name=loop_name, source=label, num_ops=0,
-                        error=f"loop {loop_name!r} ({label}): "
-                              f"{task.failure.summary()}",
-                        failure=task.failure,
-                    )
+                    cell = _failed_entry(label_of[index], task.failure)
                 else:
                     cell = task.result
                 candidates[index][name] = cell
@@ -1176,20 +971,6 @@ def _run_pool_portfolio(
                     fallback_name, fallback = _pick_fallback(
                         candidates[index], roster
                     )
-                    fallback.portfolio = {
-                        "backends": list(roster),
-                        "winner_backend": None,
-                        "losers": {
-                            b: _loser_disposition(
-                                candidates[index].get(b)
-                            )
-                            for b in roster if b != fallback_name
-                        },
-                        "killed_running": 0,
-                        "cancelled_queued": 0,
-                    }
-                    entries[index] = fallback
-                    _journal_entry(writer, index, fallback)
-                    settled.add(index)
+                    settle(index, None, fallback, rep_name=fallback_name)
     finally:
         executor.shutdown()

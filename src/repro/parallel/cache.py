@@ -9,7 +9,7 @@ the driver.  Both lookups are memoized here, keyed on content digests —
 two different object instances with identical content share one entry.
 
 Caches are plain per-process globals: each worker of a
-:class:`~concurrent.futures.ProcessPoolExecutor` warms its own copy, and
+:class:`~repro.supervision.SupervisedExecutor` warms its own copy, and
 nothing here ever crosses a pickle boundary.
 """
 

@@ -3,29 +3,31 @@
 The sequential driver proves infeasibility of ``T_lb, T_lb+1, ...`` one
 period at a time; on hard loops nearly all wall-clock goes into those
 proofs.  The per-``T`` ILPs are completely independent, so
-:func:`race_periods` dispatches a window of admissible periods to a
-supervised worker pool (:class:`repro.supervision.SupervisedExecutor`)
-and collects outcomes as they land:
+:func:`race_periods` dispatches a window of admissible periods to an
+executor and collects outcomes as they land.  One driver
+(:func:`_race_cells`) does this for every mode: ``jobs>=2`` always runs
+on a supervised worker pool
+(:class:`repro.supervision.SupervisedExecutor`), and ``jobs=1`` runs
+the same driver in-process on an
+:class:`~repro.supervision.executor.InlineExecutor`.
 
 * the **winner** is the smallest ``T`` whose solve returned a feasible
   point — exactly what the sequential sweep would have found;
-* outstanding work at **larger** periods is cancelled the moment a
-  winner is known (queued futures are dropped; already-running solves
-  are bounded by the per-process time budget and their results are
-  discarded);
+* outstanding work at **larger** periods is dropped the moment a
+  winner is known (queued cells are cancelled, running ones killed);
 * work at **smaller** periods is always awaited, because rate-optimality
   (:attr:`SchedulingResult.is_rate_optimal_proven`) is a claim about
   those periods: the win only counts once every smaller admissible ``T``
   has come back INFEASIBLE.  A smaller period that lands feasible late
   *replaces* the provisional winner.
 
-A worker that crashes, hangs past its deadline, or OOMs fails **only its
-own candidate period**: the failure is recorded on that attempt as a
-:class:`~repro.supervision.records.FailureRecord` (after the policy's
-retries) and the race keeps going with the surviving candidates.  On
-SIGINT/SIGTERM the race settles to its best-known incumbent — the
-provisional winner or the heuristic schedule — with a ``degraded``
-marker instead of raising.
+A cell that crashes, hangs past its deadline, OOMs or raises fails
+**only its own candidate period**: the failure is recorded on that
+attempt as a :class:`~repro.supervision.records.FailureRecord` (after
+the policy's retries) and the race keeps going with the surviving
+candidates.  On SIGINT/SIGTERM the race settles to its best-known
+incumbent — the provisional winner or the heuristic schedule — with a
+``degraded`` marker instead of raising.
 
 Every attempt funnels through :func:`repro.core.scheduler.attempt_period`
 — the same body the sequential driver runs — so the two drivers return
@@ -78,18 +80,17 @@ from repro.core.scheduler import (
     heuristic_pass,
 )
 from repro.ddg.graph import Ddg
-from repro.ilp.errors import SolverError
 from repro.ilp.solution import SolveStatus
 from repro.machine import Machine
 from repro.supervision.executor import (
     RUNNING,
+    InlineExecutor,
     SupervisedExecutor,
     SupervisedTask,
 )
 from repro.supervision.records import (
     DEGRADED,
     INTERRUPTED,
-    SOLVER_ERROR,
     FailureRecord,
     SupervisionPolicy,
 )
@@ -184,15 +185,17 @@ def race_periods(
     policy: Optional[SupervisionPolicy] = None,
     store=None,
     backends: Optional[Sequence[str]] = None,
-    breaker=None,
 ) -> SchedulingResult:
     """Drop-in parallel replacement for :func:`repro.core.schedule_loop`.
 
     ``jobs`` is the worker-process count (default: CPU count); ``window``
-    caps how many periods may be in flight at once (default:
+    caps how many cells may be in flight at once (default:
     ``2 * jobs``), bounding speculative work beyond the eventual winner.
-    With ``jobs=1`` no pool is spawned and the sweep runs in-process,
-    byte-identical to the sequential driver.
+    One driver runs every mode.  With ``jobs=1`` it runs in-process on
+    an :class:`~repro.supervision.executor.InlineExecutor`: cells run
+    one at a time in increasing-T order, so the achieved period and
+    proof match the sequential driver.  Any larger ``jobs`` is always
+    supervised, even when only one period is left to dispatch.
 
     With ``warmstart`` (the default) the iterative modulo heuristic runs
     once in the parent process before any dispatch: its achieved II caps
@@ -222,44 +225,26 @@ def race_periods(
     verdict per period, killing the losers — see the module docstring.
     The achieved period, schedule validity and proof flag are the same
     as any single backend's; the backend column and the wall-clock are
-    what change.  With ``jobs=1`` the portfolio degenerates to an
-    ordered fallback chain per period: backends run in roster order
-    until one settles the period, the rest are recorded cancelled.
-
-    ``breaker`` (optional, duck-typed — see
-    :class:`repro.serve.breaker.CircuitBreaker`) makes the portfolio
-    health-aware: backends whose ``breaker.allows(name)`` is False are
-    dropped from the roster up front, cells landing on a backend that
-    trips *mid-race* are skipped at dispatch time, and every cell's
-    outcome is reported back via ``record_success(name)`` /
-    ``record_failure(name, kind)`` so the breaker's failure counters
-    track real solves.  The race itself never imports the serve layer;
-    any object with those three methods works.
+    what change.  With ``jobs=1`` the portfolio is an ordered fallback
+    chain per period: backends run in roster order until one settles
+    the period, the rest are recorded cancelled.
     """
     if max_extra < 0:
         raise SchedulingError(f"max_extra must be >= 0, got {max_extra}")
     jobs = jobs if jobs is not None else default_jobs()
     if jobs < 1:
         raise SchedulingError(f"jobs must be >= 1, got {jobs}")
+    window = window if window is not None else 2 * jobs
+    if window < 1:
+        raise SchedulingError(f"window must be >= 1, got {window}")
     policy = policy or SupervisionPolicy()
-    roster: Optional[Tuple[str, ...]] = None
+    roster = (backend,)
     if backends is not None:
         roster = _validate_roster(backends, objective)
-        backend = "portfolio"
     elif backend == "portfolio":
         roster = default_portfolio(objective)
-    if roster is not None and breaker is not None:
-        allowed = tuple(n for n in roster if breaker.allows(n))
-        if not allowed:
-            raise SchedulingError(
-                f"every backend in roster {tuple(roster)} is "
-                f"circuit-broken; retry after the breaker cooldown"
-            )
-        roster = allowed
-    if roster is not None and len(roster) == 1:
-        # A one-solver "portfolio" is just that solver.
-        backend = roster[0]
-        roster = None
+    # A one-solver "portfolio" is just that solver.
+    backend = roster[0] if len(roster) == 1 else "portfolio"
     config = AttemptConfig(
         backend=backend,
         objective=objective,
@@ -321,32 +306,18 @@ def race_periods(
         else:
             dispatch.append(t_period)
 
-    degraded = False
+    winner, recs, kill_stats = _race_cells(
+        ddg, machine, dispatch, config, roster, jobs, window,
+        time_limit_per_t, policy,
+        initial=initial, incumbent=incumbent, incumbent_t=incumbent_t,
+    )
     losers: List[ScheduleAttempt] = []
+    for t_period, cell_attempts in recs.items():
+        rep = _period_rep(cell_attempts)
+        attempts[t_period] = rep
+        losers.extend(a for a in cell_attempts if a is not rep)
     portfolio_stats: Optional[Dict[str, object]] = None
-    if roster is not None:
-        if jobs == 1:
-            winner, recs, kill_stats = _race_portfolio_inline(
-                ddg, machine, dispatch, config, roster,
-                initial=initial, incumbent=incumbent,
-                incumbent_t=incumbent_t, breaker=breaker,
-            )
-        else:
-            window = window if window is not None else 2 * jobs
-            if window < 1:
-                raise SchedulingError(
-                    f"window must be >= 1, got {window}"
-                )
-            winner, recs, kill_stats = _race_portfolio_pool(
-                ddg, machine, dispatch, config, roster, jobs, window,
-                time_limit_per_t, policy,
-                initial=initial, incumbent=incumbent,
-                incumbent_t=incumbent_t, breaker=breaker,
-            )
-        for t_period, cell_attempts in recs.items():
-            rep = _period_rep(cell_attempts)
-            attempts[t_period] = rep
-            losers.extend(a for a in cell_attempts if a is not rep)
+    if len(roster) > 1:
         portfolio_stats = {
             "backends": list(roster),
             # The backend that produced the winning attempt; falls back
@@ -358,21 +329,8 @@ def race_periods(
             ),
         }
         portfolio_stats.update(kill_stats)
-    elif jobs == 1 or len(dispatch) <= 1:
-        winner = _race_inline(
-            ddg, machine, dispatch, config, attempts,
-            initial=initial, incumbent=incumbent, incumbent_t=incumbent_t,
-        )
-    else:
-        window = window if window is not None else 2 * jobs
-        if window < 1:
-            raise SchedulingError(f"window must be >= 1, got {window}")
-        winner = _race_pool(
-            ddg, machine, dispatch, config, attempts, jobs, window,
-            time_limit_per_t, policy,
-            initial=initial, incumbent=incumbent, incumbent_t=incumbent_t,
-        )
 
+    degraded = False
     if winner is None and incumbent is not None:
         failed = attempts.get(incumbent_t)
         lost = failed is not None and failed.failure is not None
@@ -437,156 +395,6 @@ def race_periods(
     return result
 
 
-def _race_inline(
-    ddg: Ddg,
-    machine: Machine,
-    dispatch: List[int],
-    config: AttemptConfig,
-    attempts: Dict[int, ScheduleAttempt],
-    initial: Optional[AttemptOutcome] = None,
-    incumbent: Optional[Schedule] = None,
-    incumbent_t: Optional[int] = None,
-) -> Optional[AttemptOutcome]:
-    """The jobs=1 degenerate race: an in-process increasing-T sweep.
-
-    ``initial`` is a provisional winner already in hand (the heuristic's
-    period under the feasibility objective); a feasible smaller period
-    replaces it, otherwise it stands.
-    """
-    for t_period in dispatch:
-        if interrupted():
-            break
-        outcome = attempt_period(
-            ddg, machine, t_period, config,
-            incumbent=incumbent if t_period == incumbent_t else None,
-        )
-        attempts[t_period] = outcome.attempt
-        if outcome.schedule is not None:
-            return outcome
-    return initial
-
-
-def _race_pool(
-    ddg: Ddg,
-    machine: Machine,
-    dispatch: List[int],
-    config: AttemptConfig,
-    attempts: Dict[int, ScheduleAttempt],
-    jobs: int,
-    window: int,
-    time_budget: Optional[float],
-    policy: SupervisionPolicy,
-    initial: Optional[AttemptOutcome] = None,
-    incumbent: Optional[Schedule] = None,
-    incumbent_t: Optional[int] = None,
-) -> Optional[AttemptOutcome]:
-    """Windowed supervised race over ``dispatch`` (increasing order).
-
-    ``initial`` (when given) is a provisional winner from the heuristic
-    pre-pass: only smaller periods remain in ``dispatch``, and the
-    standard smaller-T replacement logic takes it from there.
-    ``incumbent`` rides along to the ``incumbent_t`` solve as the MIP
-    start (:class:`~repro.core.schedule.Schedule` pickles cleanly).
-
-    Candidate deadlines default to the per-period solver budget: a solve
-    that overruns ``time_budget`` by more than the policy's grace is
-    killed and recorded as a ``hang`` failure for that period only.
-    """
-    winner: Optional[AttemptOutcome] = initial
-    deadline = policy.deadline if policy.deadline is not None else time_budget
-    pending = list(dispatch)  # not yet submitted, increasing T
-    in_flight: Dict[SupervisedTask, int] = {}  # task -> t_period
-    executor = SupervisedExecutor(
-        max_workers=min(jobs, len(dispatch)),
-        policy=policy,
-        initializer=_init_worker,
-        initargs=(time_budget,),
-    )
-    try:
-        while True:
-            if interrupted():
-                for task in executor.abort(
-                    INTERRUPTED, "race interrupted (SIGINT/SIGTERM)"
-                ):
-                    t_period = in_flight.pop(task, None)
-                    if t_period is None or t_period in attempts:
-                        continue
-                    attempts[t_period] = ScheduleAttempt(
-                        t_period=t_period, status=task.failure.kind,
-                        seconds=task.failure.elapsed,
-                        failure=task.failure,
-                    )
-                break
-            if winner is not None:
-                # Periods that can no longer win are abandoned: queued
-                # tasks are cancelled outright, and unsubmitted ones
-                # are never dispatched.
-                best_t = winner.attempt.t_period
-                pending = [t for t in pending if t < best_t]
-                for task, t_period in list(in_flight.items()):
-                    if t_period > best_t and executor.cancel(task):
-                        del in_flight[task]
-                # The win stands once no smaller period is outstanding;
-                # still-*running* larger-T solves are abandoned (their
-                # deadline bounds the straggler).
-                if not pending and not any(
-                    t < best_t for t in in_flight.values()
-                ):
-                    break
-            elif not pending and not in_flight:
-                break
-            while (
-                pending
-                and len(in_flight) < window
-                and (winner is None
-                     or pending[0] < winner.attempt.t_period)
-            ):
-                t_period = pending.pop(0)
-                task = executor.submit(
-                    attempt_period, ddg, machine, t_period, config,
-                    incumbent=(
-                        incumbent if t_period == incumbent_t else None
-                    ),
-                    tag=t_period,
-                    deadline=deadline,
-                )
-                in_flight[task] = t_period
-            for task in executor.poll(timeout=0.25):
-                t_period = in_flight.pop(task, None)
-                if t_period is None:
-                    continue
-                if task.failure is not None:
-                    # The candidate died (crash/hang/oom/solver error)
-                    # after the policy's retries: record it and keep
-                    # racing the survivors.
-                    attempts[t_period] = ScheduleAttempt(
-                        t_period=t_period, status=task.failure.kind,
-                        seconds=task.failure.elapsed,
-                        failure=task.failure,
-                    )
-                    continue
-                outcome = task.result
-                attempts[t_period] = outcome.attempt
-                if outcome.schedule is not None and (
-                    winner is None
-                    or t_period < winner.attempt.t_period
-                ):
-                    winner = outcome
-    finally:
-        executor.shutdown()
-    if winner is not None:
-        # Anything beyond the winning period that never reported back —
-        # cancelled in the queue, abandoned mid-run, or never submitted —
-        # is recorded as such for the attempt log.
-        for t_period in dispatch:
-            if t_period > winner.attempt.t_period:
-                attempts.setdefault(
-                    t_period,
-                    ScheduleAttempt(t_period=t_period, status=CANCELLED),
-                )
-    return winner
-
-
 def _period_rep(cells: List[ScheduleAttempt]) -> ScheduleAttempt:
     """The attempt that best summarizes one period's portfolio cells.
 
@@ -612,92 +420,30 @@ def _period_rep(cells: List[ScheduleAttempt]) -> ScheduleAttempt:
     return min(cells, key=lambda a: (rank(a), a.backend))
 
 
-def _race_portfolio_inline(
-    ddg: Ddg,
-    machine: Machine,
-    dispatch: List[int],
-    config: AttemptConfig,
-    roster: Tuple[str, ...],
-    initial: Optional[AttemptOutcome] = None,
-    incumbent: Optional[Schedule] = None,
-    incumbent_t: Optional[int] = None,
-    breaker=None,
+def _cell_executor(
+    jobs: int,
+    cells: int,
+    policy: SupervisionPolicy,
+    time_budget: Optional[float],
 ):
-    """The ``jobs=1`` portfolio: an ordered fallback chain per period.
+    """The executor a driver runs its cells on.
 
-    Backends run in roster order until one settles the period — a
-    feasible point or an infeasibility proof — and the remaining
-    siblings are recorded cancelled.  An in-process
-    :class:`~repro.ilp.errors.SolverError` (e.g. the SAT backend handed
-    a formulation it cannot lower) loses only its own cell; the next
-    backend in the roster picks the period up.
+    ``jobs=1`` runs every cell in this process
+    (:class:`~repro.supervision.executor.InlineExecutor`); any larger
+    ``jobs`` is always a supervised pool of at most one worker per cell,
+    so deadlines and crash isolation hold even for a single cell.
     """
-    winner = initial
-    recs: Dict[int, List[ScheduleAttempt]] = defaultdict(list)
-    kill_stats = {"killed_running": 0, "cancelled_queued": 0}
-    configs = {
-        name: dataclasses.replace(config, backend=name) for name in roster
-    }
-    for t_period in dispatch:
-        if interrupted():
-            break
-        settled = False
-        for name in roster:
-            if settled:
-                recs[t_period].append(ScheduleAttempt(
-                    t_period=t_period, status=CANCELLED, backend=name,
-                ))
-                kill_stats["cancelled_queued"] += 1
-                continue
-            if breaker is not None and not breaker.allows(name):
-                # Tripped mid-race: skip the cell, siblings carry on.
-                recs[t_period].append(ScheduleAttempt(
-                    t_period=t_period, status=CANCELLED, backend=name,
-                ))
-                kill_stats["breaker_skipped"] = (
-                    kill_stats.get("breaker_skipped", 0) + 1
-                )
-                continue
-            start = time.monotonic()
-            try:
-                outcome = attempt_period(
-                    ddg, machine, t_period, configs[name],
-                    incumbent=(
-                        incumbent if t_period == incumbent_t else None
-                    ),
-                )
-            except SolverError as exc:
-                elapsed = time.monotonic() - start
-                failure = FailureRecord(
-                    kind=SOLVER_ERROR, attempt=1, retries=0,
-                    elapsed=elapsed,
-                    detail=f"{type(exc).__name__}: {exc}",
-                )
-                recs[t_period].append(ScheduleAttempt(
-                    t_period=t_period, status=SOLVER_ERROR,
-                    seconds=elapsed, failure=failure, backend=name,
-                ))
-                if breaker is not None:
-                    breaker.record_failure(name, SOLVER_ERROR)
-                continue
-            attempt = outcome.attempt
-            if not attempt.backend:
-                attempt.backend = name
-            recs[t_period].append(attempt)
-            if breaker is not None:
-                breaker.record_success(name)
-            if outcome.schedule is not None:
-                if winner is None or t_period < winner.attempt.t_period:
-                    winner = outcome
-                settled = True
-            elif attempt.status in _PROOFS:
-                settled = True
-        if winner is not None and winner.attempt.t_period == t_period:
-            break
-    return winner, recs, kill_stats
+    if jobs == 1:
+        return InlineExecutor()
+    return SupervisedExecutor(
+        max_workers=min(jobs, max(1, cells)),
+        policy=policy,
+        initializer=_init_worker,
+        initargs=(time_budget,),
+    )
 
 
-def _race_portfolio_pool(
+def _race_cells(
     ddg: Ddg,
     machine: Machine,
     dispatch: List[int],
@@ -710,13 +456,13 @@ def _race_portfolio_pool(
     initial: Optional[AttemptOutcome] = None,
     incumbent: Optional[Schedule] = None,
     incumbent_t: Optional[int] = None,
-    breaker=None,
 ):
-    """Windowed supervised race over ``(period x backend)`` cells.
+    """Windowed race over ``(period x backend)`` cells.
 
-    Dispatch order is ``(T, roster index)`` increasing, so every
-    backend gets the smallest open period before anyone speculates
-    upward.  First verdict per period wins it for the roster:
+    A single-backend race is a roster of one.  Dispatch order is
+    ``(T, roster index)`` increasing, so every backend gets the
+    smallest open period before anyone speculates upward.  First
+    verdict per period wins it for the roster:
 
     * feasible -> provisional winner; every cell at or beyond the
       winning period is killed (running workers included — bounded
@@ -727,10 +473,17 @@ def _race_portfolio_pool(
     * crash/hang/oom/solver-error -> that cell alone fails; siblings
       carry the period.
 
+    ``initial`` (when given) is a provisional winner from the heuristic
+    pre-pass: only smaller periods remain in ``dispatch``.
+    ``incumbent`` rides along to the ``incumbent_t`` cells as the MIP
+    start.  Cell deadlines default to the per-period solver budget.
+
     ``kill_stats`` counts actual executor actions (running workers
     killed vs queued tasks dropped); cells that were never submitted
     are backfilled as plain cancelled attempts without counting.
+    Attempts are tagged with their backend only for a real portfolio.
     """
+    portfolio = len(roster) > 1
     winner: Optional[AttemptOutcome] = initial
     deadline = policy.deadline if policy.deadline is not None else time_budget
     configs = {
@@ -742,13 +495,23 @@ def _race_portfolio_pool(
         (t, name) for t in dispatch for name in roster
     ]
     settled: set = set()
+    reported: set = set()  # (period, backend) cells with a record
     in_flight: Dict[SupervisedTask, Tuple[int, str]] = {}
-    executor = SupervisedExecutor(
-        max_workers=min(jobs, max(1, len(pending))),
-        policy=policy,
-        initializer=_init_worker,
-        initargs=(time_budget,),
-    )
+    executor = _cell_executor(jobs, len(pending), policy, time_budget)
+
+    def record(t_period: int, name: str, attempt: ScheduleAttempt) -> None:
+        if portfolio and not attempt.backend:
+            attempt.backend = name
+        recs[t_period].append(attempt)
+        reported.add((t_period, name))
+
+    def record_lost(t_period: int, name: str, status: str,
+                    failure: Optional[FailureRecord] = None) -> None:
+        record(t_period, name, ScheduleAttempt(
+            t_period=t_period, status=status,
+            seconds=failure.elapsed if failure is not None else 0.0,
+            failure=failure,
+        ))
 
     def reap_loser(task: SupervisedTask, t_period: int, name: str) -> None:
         was_running = task.state == RUNNING
@@ -756,9 +519,7 @@ def _race_portfolio_pool(
             key = "killed_running" if was_running else "cancelled_queued"
             kill_stats[key] += 1
             del in_flight[task]
-            recs[t_period].append(ScheduleAttempt(
-                t_period=t_period, status=CANCELLED, backend=name,
-            ))
+            record_lost(t_period, name, CANCELLED)
         # kill_task returning False means the task already finished:
         # leave it in flight so the next poll records its real outcome.
 
@@ -769,14 +530,8 @@ def _race_portfolio_pool(
                     INTERRUPTED, "race interrupted (SIGINT/SIGTERM)"
                 ):
                     key = in_flight.pop(task, None)
-                    if key is None:
-                        continue
-                    t_period, name = key
-                    recs[t_period].append(ScheduleAttempt(
-                        t_period=t_period, status=task.failure.kind,
-                        seconds=task.failure.elapsed,
-                        failure=task.failure, backend=name,
-                    ))
+                    if key is not None:
+                        record_lost(*key, task.failure.kind, task.failure)
                 break
             best_t = (
                 winner.attempt.t_period if winner is not None else None
@@ -797,17 +552,6 @@ def _race_portfolio_pool(
                 break
             while pending and len(in_flight) < window:
                 t_period, name = pending.pop(0)
-                if breaker is not None and not breaker.allows(name):
-                    # The backend tripped mid-race: its remaining cells
-                    # are skipped, sibling backends carry the periods.
-                    recs[t_period].append(ScheduleAttempt(
-                        t_period=t_period, status=CANCELLED,
-                        backend=name,
-                    ))
-                    kill_stats["breaker_skipped"] = (
-                        kill_stats.get("breaker_skipped", 0) + 1
-                    )
-                    continue
                 task = executor.submit(
                     attempt_period, ddg, machine, t_period,
                     configs[name],
@@ -824,27 +568,20 @@ def _race_portfolio_pool(
                     continue
                 t_period, name = key
                 if task.failure is not None:
-                    recs[t_period].append(ScheduleAttempt(
-                        t_period=t_period, status=task.failure.kind,
-                        seconds=task.failure.elapsed,
-                        failure=task.failure, backend=name,
-                    ))
-                    if breaker is not None:
-                        breaker.record_failure(name, task.failure.kind)
+                    # The cell died (crash/hang/oom/solver error) after
+                    # the policy's retries: record it, keep racing.
+                    record_lost(
+                        t_period, name, task.failure.kind, task.failure
+                    )
                     continue
                 outcome = task.result
-                attempt = outcome.attempt
-                if not attempt.backend:
-                    attempt.backend = name
-                recs[t_period].append(attempt)
-                if breaker is not None:
-                    breaker.record_success(name)
+                record(t_period, name, outcome.attempt)
                 if outcome.schedule is not None:
                     settled.add(t_period)
                     if (winner is None
                             or t_period < winner.attempt.t_period):
                         winner = outcome
-                elif attempt.status in _PROOFS:
+                elif outcome.attempt.status in _PROOFS:
                     settled.add(t_period)
     finally:
         executor.shutdown()
@@ -857,10 +594,7 @@ def _race_portfolio_pool(
             best_t is None or t_period < best_t
         ):
             continue
-        have = {a.backend for a in recs[t_period]}
         for name in roster:
-            if name not in have:
-                recs[t_period].append(ScheduleAttempt(
-                    t_period=t_period, status=CANCELLED, backend=name,
-                ))
+            if (t_period, name) not in reported:
+                record_lost(t_period, name, CANCELLED)
     return winner, recs, kill_stats

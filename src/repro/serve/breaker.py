@@ -16,11 +16,8 @@ and walks the classic three states:
   first recorded success closes the breaker, the first failure re-opens
   it for another full cooldown.
 
-The breaker is duck-typed into :func:`repro.parallel.race_periods`
-(``breaker=``) so the race layer never imports this module; anything
-with ``allows`` / ``record_success`` / ``record_failure`` works.  All
-methods are thread-safe — the daemon's dispatcher thread and the HTTP
-admission path consult one shared instance — and the clock is
+All methods are thread-safe — the daemon's dispatcher thread and the
+HTTP admission path consult one shared instance — and the clock is
 injectable so tests step through cooldowns without sleeping.
 """
 

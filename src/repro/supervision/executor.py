@@ -22,6 +22,10 @@ Tasks never raise out of the pool: a finished
 :class:`SupervisedTask` holds either ``result`` or ``failure``.  The
 supervisor itself is single-threaded — drivers interleave dispatch,
 deadline enforcement and result collection through :meth:`poll`.
+
+:class:`InlineExecutor` is the same surface with no worker processes:
+each :meth:`~InlineExecutor.poll` runs the oldest queued task in the
+caller's process.  The race and batch drivers use it for ``jobs=1``.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import os
 import signal
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.supervision.records import (
     CRASH,
@@ -89,13 +93,25 @@ class SupervisedTask:
         )
 
 
+def classify_exception(exc: BaseException) -> Tuple[str, str]:
+    """``(kind, detail)`` for an exception a task raised.
+
+    ``MemoryError`` is ``oom``; anything else is ``solver_error``.
+    Workers and :class:`InlineExecutor` share this, so a task that
+    raises fails the same way wherever it runs.
+    """
+    if isinstance(exc, MemoryError):
+        return OOM, "MemoryError: task ran out of memory"
+    return SOLVER_ERROR, f"{type(exc).__name__}: {exc}"
+
+
 def _worker_main(conn, initializer, initargs, memory_mb) -> None:
     """Worker loop: recv ``(task_id, fn, args, kwargs)``, send outcome.
 
-    The worker classifies its own recoverable failures (``MemoryError``
-    -> oom, anything else raised by the task -> solver_error) so the
-    parent never needs to unpickle an arbitrary exception object.  A
-    death without a reply is the parent's signal of a crash.
+    The worker classifies its own recoverable failures
+    (:func:`classify_exception`) so the parent never needs to unpickle
+    an arbitrary exception object.  A death without a reply is the
+    parent's signal of a crash.
     """
     # The parent owns interrupt policy; a Ctrl-C must not kill workers
     # before the supervisor has settled the run.
@@ -122,12 +138,8 @@ def _worker_main(conn, initializer, initargs, memory_mb) -> None:
         try:
             result = fn(*args, **kwargs)
             reply = ("ok", task_id, result)
-        except MemoryError:
-            reply = ("fail", task_id, OOM,
-                     "MemoryError: worker exceeded its memory cap")
         except BaseException as exc:  # noqa: BLE001 - full isolation
-            reply = ("fail", task_id, SOLVER_ERROR,
-                     f"{type(exc).__name__}: {exc}")
+            reply = ("fail", task_id, *classify_exception(exc))
         try:
             conn.send(reply)
         except (BrokenPipeError, OSError):
@@ -594,3 +606,97 @@ class SupervisedExecutor:
             multiprocessing.connection.wait(conns, timeout=delay)
         else:
             time.sleep(min(delay, _MAX_WAIT))
+
+
+class InlineExecutor:
+    """The ``jobs=1`` executor: tasks run in this process, one per poll.
+
+    It offers the driver-facing surface of :class:`SupervisedExecutor`
+    (``submit``, ``poll``, ``cancel``, ``kill_task``, ``abort``,
+    ``shutdown``, ``outstanding``).  Each :meth:`poll` runs the oldest
+    queued task to completion and returns it, so a driver cancels
+    queued work a verdict made moot exactly as it does with the pool.
+    A task that raises fails like a worker's task would
+    (:func:`classify_exception`).  There is no isolation: deadlines
+    are not enforced, nothing is retried, and a task that kills its
+    process kills the caller.  No pool initializer runs either, so
+    nothing process-wide (such as a solver time budget) leaks into the
+    caller.
+    """
+
+    def __init__(self) -> None:
+        self._pending: Deque[SupervisedTask] = deque()
+        self._ids = itertools.count()
+        self._shut_down = False
+
+    def submit(self, fn, *args, tag=None, deadline=None,
+               **kwargs) -> SupervisedTask:
+        """Queue ``fn(*args, **kwargs)``; ``deadline`` is accepted and
+        ignored (an in-process task cannot be killed)."""
+        if self._shut_down:
+            raise RuntimeError("executor has been shut down")
+        task = SupervisedTask(
+            next(self._ids), fn, args, kwargs, tag, deadline
+        )
+        self._pending.append(task)
+        return task
+
+    def cancel(self, task: SupervisedTask) -> bool:
+        """Drop a queued task; False once it has run."""
+        if task.state != PENDING:
+            return False
+        task.state = CANCELLED
+        self._pending.remove(task)
+        return True
+
+    #: No task is ever running between calls, so killing is cancelling.
+    kill_task = cancel
+
+    def outstanding(self) -> int:
+        return len(self._pending)
+
+    def poll(self, timeout: Optional[float] = None) -> List[SupervisedTask]:
+        """Run the oldest queued task and return it (``[]`` when idle).
+
+        ``timeout`` is ignored: the task runs to completion.
+        """
+        if not self._pending:
+            return []
+        task = self._pending.popleft()
+        task.state = RUNNING
+        task.tries = 1
+        task.started_at = time.monotonic()
+        try:
+            task.result = task.fn(*task.args, **task.kwargs)
+            task.state = DONE
+        except Exception as exc:  # noqa: BLE001 - same as a worker
+            kind, detail = classify_exception(exc)
+            task.failure = FailureRecord(
+                kind=kind,
+                elapsed=time.monotonic() - task.started_at,
+                detail=detail,
+            )
+            task.state = FAILED
+        task.elapsed = time.monotonic() - task.started_at
+        return [task]
+
+    def abort(self, kind: str = INTERRUPTED,
+              detail: str = "run aborted") -> List[SupervisedTask]:
+        """Fail every queued task with ``kind`` and return them."""
+        failed = list(self._pending)
+        self._pending.clear()
+        for task in failed:
+            task.failure = FailureRecord(kind=kind, detail=detail)
+            task.state = FAILED
+        return failed
+
+    def shutdown(self) -> None:
+        """Drop queued tasks; later submits are refused."""
+        self._shut_down = True
+        self._pending.clear()
+
+    def __enter__(self) -> "InlineExecutor":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.shutdown()

@@ -271,11 +271,15 @@ class TestBatchPortfolio:
         assert len(pids) <= jobs + killed
         assert not _no_stray_children()
 
+    @pytest.mark.parametrize(
+        "roster", [("highs", "bnb"), ("bnb",)], ids=["portfolio", "single"]
+    )
     def test_cells_queue_biggest_loop_first_per_backend(
-        self, monkeypatch
+        self, monkeypatch, roster
     ):
         """Within each backend's round, cells queue by loop text size,
-        biggest first, so the batch's tail is made of small loops."""
+        biggest first, so the batch's tail is made of small loops.  A
+        single-backend batch is a roster of one and queues the same way."""
         from repro.supervision.executor import SupervisedExecutor
 
         machine = powerpc604()
@@ -295,7 +299,6 @@ class TestBatchPortfolio:
             return submit(self, fn, *args, tag=tag, **kwargs)
 
         monkeypatch.setattr(SupervisedExecutor, "submit", recording)
-        roster = ("highs", "bnb")
         report = run_batch(ddgs, machine, jobs=2, backends=roster)
         assert report.failed == 0
         by_size = sorted(range(len(ddgs)), key=lambda i: -sizes[i])

@@ -67,6 +67,17 @@ class TestRaceMatchesSequential:
             (a.t_period, a.status) for a in par.attempts
         ] == [(a.t_period, a.status) for a in seq.attempts]
 
+    def test_inline_path_leaves_solver_budget_alone(self, machine):
+        # jobs=1 never runs the pool initializer, which would set a
+        # process-wide solver budget in the caller.
+        from repro.ilp.solve import process_time_budget
+
+        before = process_time_budget()
+        race_periods(
+            motivating_example(), machine, jobs=1, time_limit_per_t=5.0
+        )
+        assert process_time_budget() == before
+
     def test_counting_only_relaxation(self, machine):
         par = race_periods(
             motivating_example(), machine, mapping=False, jobs=2

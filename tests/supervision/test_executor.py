@@ -2,7 +2,9 @@
 
 Worker task bodies live at module level so they pickle under the fork
 and spawn start methods alike.  Deadlines and backoffs are kept tiny so
-the whole file runs in seconds.
+the whole file runs in seconds.  The tests of the driver-facing
+contract take the executor from the ``make_executor`` fixture, and
+:class:`TestInlineExecutor` runs them again on :class:`InlineExecutor`.
 """
 
 import os
@@ -14,6 +16,7 @@ from repro.supervision.executor import (
     CANCELLED,
     DONE,
     FAILED,
+    InlineExecutor,
     SupervisedExecutor,
 )
 from repro.supervision.records import (
@@ -74,9 +77,22 @@ FAST_RETRY = SupervisionPolicy(max_retries=1, backoff=0.01)
 NO_RETRY = SupervisionPolicy(max_retries=0)
 
 
+@pytest.fixture
+def make_executor():
+    """The executor under test; :class:`TestInlineExecutor` overrides it."""
+    return SupervisedExecutor
+
+
+def _start(executor):
+    """Start the first queued task on a pool worker.  An inline task
+    only ever runs inside ``poll``, so there it stays queued."""
+    if isinstance(executor, SupervisedExecutor):
+        executor.poll(timeout=0.2)
+
+
 class TestResults:
-    def test_result_delivery_and_tags(self):
-        with SupervisedExecutor(max_workers=2) as executor:
+    def test_result_delivery_and_tags(self, make_executor):
+        with make_executor(max_workers=2) as executor:
             tasks = [
                 executor.submit(_double, i, tag=f"job{i}") for i in range(5)
             ]
@@ -178,17 +194,15 @@ class TestHang:
 
 
 class TestMemoryAndErrors:
-    def test_memory_error_is_oom_not_retried(self):
-        with SupervisedExecutor(
-            max_workers=1, policy=FAST_RETRY
-        ) as executor:
+    def test_memory_error_is_oom_not_retried(self, make_executor):
+        with make_executor(max_workers=1, policy=FAST_RETRY) as executor:
             task = executor.submit(_raise_memory_error)
             _drain(executor)
         assert task.failure.kind == OOM
         assert task.failure.attempt == 1  # OOM is not retryable
 
-    def test_task_exception_is_solver_error(self):
-        with SupervisedExecutor(max_workers=1) as executor:
+    def test_task_exception_is_solver_error(self, make_executor):
+        with make_executor(max_workers=1) as executor:
             task = executor.submit(_raise_value_error)
             _drain(executor)
         assert task.failure.kind == SOLVER_ERROR
@@ -207,11 +221,11 @@ class TestMemoryAndErrors:
 
 
 class TestAbortAndCancel:
-    def test_abort_fails_running_and_pending(self):
-        with SupervisedExecutor(max_workers=1) as executor:
+    def test_abort_fails_running_and_pending(self, make_executor):
+        with make_executor(max_workers=1) as executor:
             running = executor.submit(_sleep, 60.0)
             pending = executor.submit(_double, 1)
-            executor.poll(timeout=0.2)  # ensure the first task started
+            _start(executor)
             aborted = executor.abort(INTERRUPTED, "test abort")
             assert set(aborted) == {running, pending}
             for task in (running, pending):
@@ -220,21 +234,22 @@ class TestAbortAndCancel:
             # abort() already delivered them; poll must not re-deliver.
             assert executor.poll(timeout=0.0) == []
 
-    def test_abort_preserves_finished_results(self):
-        with SupervisedExecutor(max_workers=1) as executor:
+    def test_abort_preserves_finished_results(self, make_executor):
+        with make_executor(max_workers=1) as executor:
             done = executor.submit(_double, 5)
             _drain(executor)
             assert executor.abort() == []
             assert done.state == DONE and done.result == 10
 
-    def test_cancel_pending_only(self):
-        with SupervisedExecutor(max_workers=1) as executor:
+    def test_cancel_pending_only(self, make_executor):
+        with make_executor(max_workers=1) as executor:
             running = executor.submit(_sleep, 2.0)
             pending = executor.submit(_double, 1)
-            executor.poll(timeout=0.2)
+            _start(executor)
             assert executor.cancel(pending)
             assert pending.state == CANCELLED
-            assert not executor.cancel(running)
+            if isinstance(executor, SupervisedExecutor):
+                assert not executor.cancel(running)
             assert executor.outstanding() == 1
 
 
@@ -253,10 +268,12 @@ class TestKillTask:
             # The kill is not a failure: poll never re-delivers it.
             assert executor.poll(timeout=0.0) == []
 
-    def test_verdict_delivered_before_next_task_starts(self):
+    def test_verdict_delivered_before_next_task_starts(
+        self, make_executor
+    ):
         """A finished task comes back while the freed worker is still
         idle, so work its verdict made moot is cancelled, not killed."""
-        with SupervisedExecutor(max_workers=1) as executor:
+        with make_executor(max_workers=1) as executor:
             first = executor.submit(_double, 1)
             moot = executor.submit(_sleep, 60.0)
             finished = []
@@ -266,13 +283,14 @@ class TestKillTask:
             assert executor.kill_task(moot)
             # It never started: no worker was signaled for it.
             assert moot.started_at is None
-            assert len(executor.live_children()) == 1
+            if isinstance(executor, SupervisedExecutor):
+                assert len(executor.live_children()) == 1
 
-    def test_kill_pending_task_cancels(self):
-        with SupervisedExecutor(max_workers=1) as executor:
+    def test_kill_pending_task_cancels(self, make_executor):
+        with make_executor(max_workers=1) as executor:
             executor.submit(_sleep, 2.0)
             pending = executor.submit(_double, 1)
-            executor.poll(timeout=0.2)
+            _start(executor)
             assert executor.kill_task(pending)
             assert pending.state == CANCELLED
 
@@ -348,3 +366,37 @@ class TestKillTask:
         finally:
             executor.shutdown()
         assert executor.live_children() == []
+
+
+class TestInlineExecutor:
+    """The driver-facing contract tests above, on :class:`InlineExecutor`.
+
+    The ``jobs=1`` drivers run on it, so it must deliver, fail, cancel
+    and abort tasks exactly as the pool does.
+    """
+
+    @pytest.fixture
+    def make_executor(self):
+        return lambda max_workers=1, policy=None: InlineExecutor()
+
+    test_result_delivery_and_tags = TestResults.test_result_delivery_and_tags
+    test_task_exception_is_solver_error = (
+        TestMemoryAndErrors.test_task_exception_is_solver_error
+    )
+    test_memory_error_is_oom_not_retried = (
+        TestMemoryAndErrors.test_memory_error_is_oom_not_retried
+    )
+    test_abort_fails_running_and_pending = (
+        TestAbortAndCancel.test_abort_fails_running_and_pending
+    )
+    test_abort_preserves_finished_results = (
+        TestAbortAndCancel.test_abort_preserves_finished_results
+    )
+    test_cancel_pending_only = TestAbortAndCancel.test_cancel_pending_only
+    test_kill_pending_task_cancels = (
+        TestKillTask.test_kill_pending_task_cancels
+    )
+    test_verdict_delivered_before_next_task_starts = (
+        TestKillTask.test_verdict_delivered_before_next_task_starts
+    )
+

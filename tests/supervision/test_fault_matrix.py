@@ -148,10 +148,9 @@ class TestSequentialSupervised:
 class TestRaceSupervised:
     """race_periods keeps racing through worker failures.
 
-    Warm starts are disabled in the crash/hang/oom cells so more than
-    one candidate reaches the pool: with a single dispatched period the
-    race degenerates to its in-process sweep, where a crash fault would
-    take down the test process itself.
+    Any ``jobs >= 2`` race is supervised, however few periods it
+    dispatches.  Most cells disable warm starts so several candidates
+    race and one of them crashes while others win.
     """
 
     def test_crash_does_not_abort_race(self, monkeypatch, ddg, machine):
@@ -169,6 +168,22 @@ class TestRaceSupervised:
         # A winner above an unproven (crashed) period is degraded.
         assert result.degraded
         assert not result.is_rate_optimal_proven
+
+    def test_single_dispatched_period_is_supervised(
+        self, monkeypatch, ddg, machine
+    ):
+        # The warm start settles T=4 and leaves only T_lb to dispatch;
+        # the crash must still land in a worker, not in this process.
+        t_lb = lower_bounds(ddg, machine).t_lb
+        monkeypatch.setenv(ENV_VAR, f"crash@attempt:t={t_lb}")
+        result = race_periods(
+            ddg, machine, jobs=2, time_limit_per_t=10.0,
+            policy=NO_RETRY,
+        )
+        (crashed,) = _failed(result, CRASH)
+        assert crashed.t_period == t_lb
+        assert result.achieved_t == t_lb + 1
+        assert result.degraded
 
     def test_hang_killed_and_race_continues(
         self, monkeypatch, ddg, machine
@@ -254,6 +269,17 @@ class TestBatchSupervised:
         assert report.failed == 1
         assert self._entry(report, "t0").scheduled
         assert self._entry(report, "t2").scheduled
+
+    def test_single_loop_batch_is_supervised(self, monkeypatch, corpus):
+        machine, paths = corpus
+        monkeypatch.setenv(ENV_VAR, "crash@batch")
+        report = run_batch(
+            paths[:1], machine, jobs=2, time_limit_per_t=10.0,
+            policy=NO_RETRY,
+        )
+        (entry,) = report.entries
+        assert entry.failure.kind == CRASH
+        assert report.failed == 1
 
     def test_hang_killed_and_isolated(self, monkeypatch, corpus):
         machine, paths = corpus
