@@ -88,8 +88,9 @@ def _machine_of(args):
 def _policy_of(args):
     """Build a SupervisionPolicy from --deadline/--retries/--memory-mb.
 
-    Returns None when no supervision flag was given, so callers can keep
-    the (cheaper) in-process default paths.
+    Returns None when no supervision flag was given: ``--jobs 1`` then
+    runs in-process.  A policy runs every solve on the supervised pool,
+    at every ``--jobs``, so the flags mean the same everywhere.
     """
     from repro.supervision import SupervisionPolicy
 
@@ -195,7 +196,9 @@ def _cmd_schedule(args) -> int:
         from repro.core.explain import explain_infeasibility
 
         for attempt in result.attempts:
-            if attempt.status in ("optimal", "feasible"):
+            # Cancelled periods (above a supervised sweep's winner)
+            # never ran: there is nothing to explain.
+            if attempt.status in ("optimal", "feasible", "cancelled"):
                 continue
             diagnosis = explain_infeasibility(
                 ddg, machine, attempt.t_period, backend=args.backend,

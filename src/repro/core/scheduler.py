@@ -518,26 +518,25 @@ def run_sweep(
     warmstart_provider: Optional[
         Callable[[Ddg, Machine, int], WarmStart]
     ] = None,
-    attempt_runner: Optional[Callable[..., AttemptOutcome]] = None,
     store=None,
 ) -> SchedulingResult:
-    """The §6 increasing-T sweep, warm-start and failure aware.
+    """The §6 increasing-T sweep, in-process and warm-start aware.
 
-    Shared by :func:`schedule_loop` and the batch worker (which injects
-    memoized bound/formulation/warm-start providers).  With warm starts
-    enabled the heuristic runs first; its achieved II caps the candidate
-    range from above, settles its own period outright under the
-    feasibility objective (status ``"heuristic"``, no ILP), and seeds
-    the solver's incumbent otherwise.
+    The loop body of unsupervised :func:`schedule_loop` and of the batch
+    and serve workers (the batch worker injects memoized
+    bound/formulation/warm-start providers).  With warm starts enabled
+    the heuristic runs first; its achieved II caps the candidate range
+    from above, settles its own period outright under the feasibility
+    objective (status ``"heuristic"``, no ILP), and seeds the solver's
+    incumbent otherwise.
 
-    ``attempt_runner`` replaces the direct :func:`attempt_period` call —
-    e.g. :class:`repro.supervision.SupervisedAttemptRunner` ships each
-    attempt to a deadline-guarded worker process.  An attempt that comes
-    back with a :class:`~repro.supervision.records.FailureRecord` is
-    recorded and the sweep *continues to the next period* (degradation:
-    accept a larger T rather than abort); a graceful interrupt stops the
-    sweep and settles to the heuristic incumbent when one exists, marked
-    with a ``"degraded"`` attempt instead of raising.
+    Every attempt runs in this process, so an attempt that raises fails
+    the whole sweep: the caller's executor records it as its loop's
+    failure.  A sweep that must survive crashing or hanging attempts is
+    :func:`repro.parallel.race_periods` with a policy (what
+    ``schedule_loop(supervision=...)`` runs).  A graceful interrupt
+    stops the sweep and settles to the heuristic incumbent when one
+    exists, marked with a ``"degraded"`` attempt instead of raising.
 
     ``store`` (a :class:`repro.store.ScheduleStore`) short-circuits the
     entire sweep — heuristic pre-pass included — when a verified entry
@@ -561,10 +560,7 @@ def run_sweep(
     if bounds is None:
         bounds = lower_bounds(ddg, machine)
     context = None
-    if config.incremental and config.presolve and attempt_runner is None:
-        # One context serves the whole sweep; supervised runners can't
-        # take it across the pickle boundary — their worker processes
-        # self-serve from the per-process registry inside attempt_period.
+    if config.incremental and config.presolve:
         from repro.core.incremental import context_for
 
         context = context_for(ddg, machine)
@@ -573,7 +569,6 @@ def run_sweep(
     )
     attempts: List[ScheduleAttempt] = []
     schedule: Optional[Schedule] = None
-    saw_failure = False
     was_interrupted = False
 
     upper = bounds.t_lb + max_extra
@@ -590,25 +585,13 @@ def run_sweep(
             attempts.append(heuristic_attempt(ws))
             schedule = ws.schedule
             break
-        incumbent = ws.schedule if at_heuristic_ii else None
-        if attempt_runner is not None:
-            outcome = attempt_runner(
-                ddg, machine, t_period, config, incumbent=incumbent
-            )
-        else:
-            outcome = attempt_period(
-                ddg, machine, t_period, config,
-                formulation_builder=formulation_builder,
-                incumbent=incumbent,
-                context=context,
-            )
+        outcome = attempt_period(
+            ddg, machine, t_period, config,
+            formulation_builder=formulation_builder,
+            incumbent=ws.schedule if at_heuristic_ii else None,
+            context=context,
+        )
         attempts.append(outcome.attempt)
-        if outcome.attempt.failure is not None:
-            saw_failure = True
-            if outcome.attempt.failure.kind == "interrupted":
-                was_interrupted = True
-                break
-            continue
         if outcome.attempt.status != "modulo_infeasible":
             ws_stats.ilp_solves += 1
         if outcome.schedule is not None:
@@ -617,9 +600,9 @@ def run_sweep(
 
     degraded = False
     if (schedule is None and ws is not None and ws.schedule is not None
-            and (saw_failure or was_interrupted)):
-        # Exhausted retries or an interrupt left no clean win, but the
-        # heuristic pre-pass holds a verified schedule: settle to it.
+            and was_interrupted):
+        # An interrupt left no clean win, but the heuristic pre-pass
+        # holds a verified schedule: settle to it.
         attempts.append(
             ScheduleAttempt(
                 t_period=ws.ii, status=DEGRADED, warm_started=True,
@@ -687,10 +670,13 @@ def schedule_loop(
     ILP solves, and otherwise its schedule brackets and seeds the sweep.
 
     ``supervision`` (a :class:`repro.supervision.SupervisionPolicy`)
-    ships each per-period solve to a deadline/memory-guarded worker
-    process; crashes, hangs and OOMs then surface as per-attempt
-    :class:`~repro.supervision.records.FailureRecord` data and the sweep
-    degrades gracefully instead of dying (see ``docs/robustness.md``).
+    runs the sweep as :func:`repro.parallel.race_periods` with
+    ``jobs=1`` and that policy: each per-period solve goes to a
+    deadline/memory-guarded worker process, crashes, hangs and OOMs
+    surface as per-attempt
+    :class:`~repro.supervision.records.FailureRecord` data, and the
+    sweep degrades gracefully instead of dying.  A win above a lost
+    period is then ``degraded`` (see ``docs/robustness.md``).
 
     ``store`` (a :class:`repro.store.ScheduleStore` or a path accepted
     by :func:`repro.store.open_store`) consults the persistent schedule
@@ -710,6 +696,17 @@ def schedule_loop(
             "backend='portfolio') or repro.parallel.run_batch(..., "
             "backend='portfolio') instead of schedule_loop"
         )
+    if supervision is not None:
+        from repro.parallel.race import race_periods
+
+        return race_periods(
+            ddg, machine, backend=backend, objective=objective,
+            mapping=mapping, time_limit_per_t=time_limit_per_t,
+            max_extra=max_extra, verify=verify,
+            repair_modulo=repair_modulo, presolve=presolve, jobs=1,
+            warmstart=warmstart, incremental=incremental,
+            policy=supervision, store=store,
+        )
     config = AttemptConfig(
         backend=backend,
         objective=objective,
@@ -725,14 +722,4 @@ def schedule_loop(
         from repro.store import open_store
 
         store = open_store(store)
-    if supervision is None:
-        return run_sweep(ddg, machine, config, max_extra, store=store)
-    from repro.supervision.runner import SupervisedAttemptRunner
-
-    with SupervisedAttemptRunner(
-        supervision, time_budget=time_limit_per_t
-    ) as runner:
-        return run_sweep(
-            ddg, machine, config, max_extra, attempt_runner=runner,
-            store=store,
-        )
+    return run_sweep(ddg, machine, config, max_extra, store=store)

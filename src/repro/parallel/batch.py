@@ -49,12 +49,7 @@ from repro.ddg.builders import parse_ddg, serialize_ddg
 from repro.ddg.graph import Ddg
 from repro.machine import Machine
 from repro.parallel import cache
-from repro.parallel.race import (
-    _cell_executor,
-    _validate_roster,
-    default_jobs,
-    default_portfolio,
-)
+from repro.parallel.race import _cell_executor, _resolve_roster, default_jobs
 from repro.supervision import faults
 from repro.supervision.atomicio import atomic_write_text
 from repro.supervision.journal import (
@@ -691,16 +686,17 @@ def run_batch(
     """Schedule every loop reachable from ``paths`` across ``jobs`` workers.
 
     Results always come back in input order (directories expand to
-    sorted file lists).  One driver runs every mode: ``jobs=1`` runs
-    in-process on an
-    :class:`~repro.supervision.executor.InlineExecutor` (no pool), and
-    any larger ``jobs`` is always supervised, even for a single loop.
-    Loops are queued biggest first (by DDG text size), so small loops
-    fill the workers in at the batch's tail.
+    sorted file lists).  One driver runs every mode: ``jobs=1`` without
+    a ``policy`` runs in-process on an
+    :class:`~repro.supervision.executor.InlineExecutor` (no pool), and a
+    ``policy`` or any larger ``jobs`` is always supervised, even for a
+    single loop.  Loops are queued biggest first (by DDG text size), so
+    small loops fill the workers in at the batch's tail.
 
     ``policy`` tunes the supervision layer around each worker (deadline,
-    memory cap, retries); with the default policy loops run unbounded
-    but still survive worker crashes.  ``journal`` appends every
+    memory cap, retries) and means the same at every ``jobs``; with the
+    default policy of a ``jobs>=2`` batch loops run unbounded but still
+    survive worker crashes.  ``journal`` appends every
     finished loop to a JSONL checkpoint; ``resume`` replays such a
     journal, re-running only loops that failed or never finished (and
     keeps journaling to the same file unless ``journal`` says
@@ -732,12 +728,7 @@ def run_batch(
     jobs = jobs if jobs is not None else default_jobs()
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    policy = policy or SupervisionPolicy()
-    roster = (backend,)
-    if backends is not None:
-        roster = _validate_roster(backends, objective)
-    elif backend == "portfolio":
-        roster = default_portfolio(objective)
+    roster = _resolve_roster(backend, backends, objective)
     backend = roster[0] if len(roster) == 1 else "portfolio"
     config = AttemptConfig(
         backend=backend,
@@ -865,7 +856,7 @@ def _run_cells(
     max_extra: int,
     jobs: int,
     time_limit_per_t: Optional[float],
-    policy: SupervisionPolicy,
+    policy: Optional[SupervisionPolicy],
     writer: Optional[BatchJournal],
     store_path: Optional[str] = None,
 ) -> None:

@@ -5,11 +5,14 @@ period at a time; on hard loops nearly all wall-clock goes into those
 proofs.  The per-``T`` ILPs are completely independent, so
 :func:`race_periods` dispatches a window of admissible periods to an
 executor and collects outcomes as they land.  One driver
-(:func:`_race_cells`) does this for every mode: ``jobs>=2`` always runs
-on a supervised worker pool
-(:class:`repro.supervision.SupervisedExecutor`), and ``jobs=1`` runs
-the same driver in-process on an
-:class:`~repro.supervision.executor.InlineExecutor`.
+(:func:`_race_cells`) does this for every mode, and one rule picks its
+executor (:func:`_cell_executor`): a supervision policy or ``jobs>=2``
+runs it on a supervised worker pool
+(:class:`repro.supervision.SupervisedExecutor`), and ``jobs=1`` without
+a policy runs it in-process on an
+:class:`~repro.supervision.executor.InlineExecutor`.  A supervised
+sequential sweep (``schedule_loop(supervision=...)``) is this driver at
+``jobs=1``.
 
 * the **winner** is the smallest ``T`` whose solve returned a feasible
   point — exactly what the sequential sweep would have found;
@@ -133,6 +136,34 @@ def default_portfolio(objective: str = "feasibility") -> Tuple[str, ...]:
     return tuple(roster)
 
 
+def _resolve_roster(
+    backend: str, backends: Optional[Sequence[str]], objective: str
+) -> Tuple[str, ...]:
+    """The backends a run races, checked against ``objective``.
+
+    An explicit ``backends`` list is validated; ``backend="portfolio"``
+    is :func:`default_portfolio`; any other backend is a roster of one,
+    which gets the same objective check, so a SAT run under a
+    non-feasibility objective is refused before anything is dispatched.
+    """
+    if backends is not None:
+        return _validate_roster(backends, objective)
+    if backend == "portfolio":
+        return default_portfolio(objective)
+    roster = (backend,)
+    _check_objective(roster, objective)
+    return roster
+
+
+def _check_objective(roster: Tuple[str, ...], objective: str) -> None:
+    if "sat" in roster and objective != "feasibility":
+        raise SchedulingError(
+            "the sat backend only solves the feasibility objective; "
+            f"drop it from the roster or use objective='feasibility' "
+            f"(got {objective!r})"
+        )
+
+
 def _validate_roster(
     backends: Sequence[str], objective: str
 ) -> Tuple[str, ...]:
@@ -151,12 +182,7 @@ def _validate_roster(
                 f"portfolio roster lists {name!r} twice"
             )
         seen.add(name)
-    if "sat" in seen and objective != "feasibility":
-        raise SchedulingError(
-            "the sat backend only solves the feasibility objective; "
-            f"drop it from the roster or use objective='feasibility' "
-            f"(got {objective!r})"
-        )
+    _check_objective(roster, objective)
     return roster
 
 
@@ -191,11 +217,12 @@ def race_periods(
     ``jobs`` is the worker-process count (default: CPU count); ``window``
     caps how many cells may be in flight at once (default:
     ``2 * jobs``), bounding speculative work beyond the eventual winner.
-    One driver runs every mode.  With ``jobs=1`` it runs in-process on
-    an :class:`~repro.supervision.executor.InlineExecutor`: cells run
-    one at a time in increasing-T order, so the achieved period and
-    proof match the sequential driver.  Any larger ``jobs`` is always
-    supervised, even when only one period is left to dispatch.
+    One driver runs every mode.  With ``jobs=1`` cells run one at a time
+    in increasing-T order, so the achieved period and proof match the
+    sequential driver; without a ``policy`` they run in-process on an
+    :class:`~repro.supervision.executor.InlineExecutor`.  A ``policy``
+    or any larger ``jobs`` always runs them on the supervised pool, even
+    when only one period is left to dispatch.
 
     With ``warmstart`` (the default) the iterative modulo heuristic runs
     once in the parent process before any dispatch: its achieved II caps
@@ -205,9 +232,11 @@ def race_periods(
     the heuristic incumbent.
 
     ``policy`` tunes the supervision guard-rails (deadline, memory cap,
-    retries, backoff); the default policy derives each candidate's
-    deadline from ``time_limit_per_t``, so a solver that ignores its
-    budget is killed rather than trusted.
+    retries, backoff) and means the same at every ``jobs``.  A policy
+    without a deadline (and the default policy of a ``jobs>=2`` race)
+    derives each candidate's deadline from ``time_limit_per_t``, so a
+    solver that ignores its budget is killed rather than trusted.
+    ``schedule_loop(supervision=policy)`` is this race at ``jobs=1``.
 
     ``store`` (a :class:`repro.store.ScheduleStore` or path) is
     consulted before the heuristic pre-pass or any dispatch: a verified
@@ -237,12 +266,7 @@ def race_periods(
     window = window if window is not None else 2 * jobs
     if window < 1:
         raise SchedulingError(f"window must be >= 1, got {window}")
-    policy = policy or SupervisionPolicy()
-    roster = (backend,)
-    if backends is not None:
-        roster = _validate_roster(backends, objective)
-    elif backend == "portfolio":
-        roster = default_portfolio(objective)
+    roster = _resolve_roster(backend, backends, objective)
     # A one-solver "portfolio" is just that solver.
     backend = roster[0] if len(roster) == 1 else "portfolio"
     config = AttemptConfig(
@@ -423,17 +447,17 @@ def _period_rep(cells: List[ScheduleAttempt]) -> ScheduleAttempt:
 def _cell_executor(
     jobs: int,
     cells: int,
-    policy: SupervisionPolicy,
+    policy: Optional[SupervisionPolicy],
     time_budget: Optional[float],
 ):
     """The executor a driver runs its cells on.
 
-    ``jobs=1`` runs every cell in this process
-    (:class:`~repro.supervision.executor.InlineExecutor`); any larger
-    ``jobs`` is always a supervised pool of at most one worker per cell,
-    so deadlines and crash isolation hold even for a single cell.
+    ``jobs=1`` without a policy runs every cell in this process
+    (:class:`~repro.supervision.executor.InlineExecutor`).  A policy, or
+    ``jobs>=2``, always gets a supervised pool of at most one worker per
+    cell, so deadlines and crash isolation hold even for a single cell.
     """
-    if jobs == 1:
+    if jobs == 1 and policy is None:
         return InlineExecutor()
     return SupervisedExecutor(
         max_workers=min(jobs, max(1, cells)),
@@ -452,7 +476,7 @@ def _race_cells(
     jobs: int,
     window: int,
     time_budget: Optional[float],
-    policy: SupervisionPolicy,
+    policy: Optional[SupervisionPolicy],
     initial: Optional[AttemptOutcome] = None,
     incumbent: Optional[Schedule] = None,
     incumbent_t: Optional[int] = None,
@@ -479,13 +503,16 @@ def _race_cells(
     start.  Cell deadlines default to the per-period solver budget.
 
     ``kill_stats`` counts actual executor actions (running workers
-    killed vs queued tasks dropped); cells that were never submitted
-    are backfilled as plain cancelled attempts without counting.
-    Attempts are tagged with their backend only for a real portfolio.
+    killed vs queued tasks dropped); cells that never reported are
+    backfilled without counting.  Attempts are tagged with their
+    backend only for a real portfolio.
     """
     portfolio = len(roster) > 1
     winner: Optional[AttemptOutcome] = initial
-    deadline = policy.deadline if policy.deadline is not None else time_budget
+    deadline = time_budget
+    if policy is not None and policy.deadline is not None:
+        deadline = policy.deadline
+    reason = "race interrupted (SIGINT/SIGTERM)"
     configs = {
         name: dataclasses.replace(config, backend=name) for name in roster
     }
@@ -526,9 +553,7 @@ def _race_cells(
     try:
         while True:
             if interrupted():
-                for task in executor.abort(
-                    INTERRUPTED, "race interrupted (SIGINT/SIGTERM)"
-                ):
+                for task in executor.abort(INTERRUPTED, reason):
                     key = in_flight.pop(task, None)
                     if key is not None:
                         record_lost(*key, task.failure.kind, task.failure)
@@ -585,16 +610,22 @@ def _race_cells(
                     settled.add(t_period)
     finally:
         executor.shutdown()
-    # Cells that never got to report — dropped from the queue after a
-    # settle, or never submitted at all — are backfilled as cancelled
-    # so every (period, backend) pair appears exactly once in the log.
+    # Cells that never got to report are backfilled so every (period,
+    # backend) pair appears exactly once in the log: dropped after a
+    # settle made them moot -> cancelled; still owed below the winner
+    # (only an interrupt leaves those) -> interrupted, so the result
+    # counts as degraded and is never published as a proof.
     best_t = winner.attempt.t_period if winner is not None else None
     for t_period in dispatch:
-        if t_period not in settled and (
-            best_t is None or t_period < best_t
-        ):
-            continue
+        moot = t_period in settled or (
+            best_t is not None and t_period >= best_t
+        )
         for name in roster:
-            if (t_period, name) not in reported:
+            if (t_period, name) in reported:
+                continue
+            if moot:
                 record_lost(t_period, name, CANCELLED)
+            else:
+                record_lost(t_period, name, INTERRUPTED,
+                            FailureRecord(INTERRUPTED, detail=reason))
     return winner, recs, kill_stats

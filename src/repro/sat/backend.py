@@ -38,6 +38,7 @@ from repro.sat.encode import (
     decode_model,
     encode_formulation,
     phase_hints,
+    require_feasibility,
 )
 from repro.sat.solver import SAT, UNSAT, CdclSolver
 
@@ -101,7 +102,10 @@ def solve_formulation(
     ``mip_start``: a *valid* start short-circuits to ``OPTIMAL``
     immediately (any feasible point is optimal under the constant
     objective — same move as ``ilp/highs.py``); an invalid one seeds
-    the CDCL phase store so search begins in its neighborhood.
+    the CDCL phase store so search begins in its neighborhood.  Under
+    any other objective the short-circuit would claim an optimum it
+    never searched for, so it raises the encoder's feasibility-only
+    :class:`~repro.sat.errors.SatEncodeError` instead.
 
     ``assumptions``: raw solver literals to pin (see
     :func:`repro.sat.encode.seed_assumptions`); if they conflict the
@@ -115,6 +119,7 @@ def solve_formulation(
 
     hints: Optional[Dict[int, bool]] = None
     if mip_start:
+        require_feasibility(formulation)
         if not violated_rows(formulation, mip_start):
             objective = formulation.model.objective.value(mip_start)
             return Solution(

@@ -33,6 +33,9 @@ class ScheduleStore:
     def __init__(self, root) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        #: The resolved root: one identity per directory however it is
+        #: spelled, so in-process tiers can tell stores apart.
+        self.identity = str(self.root.resolve())
 
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"

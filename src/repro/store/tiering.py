@@ -50,8 +50,10 @@ from repro.store.keys import (
 #: raw DDG digest -> CanonicalForm.  Canonicalization is cheap but the
 #: batch runner queries the same handful of shapes thousands of times.
 _CANON_CACHE: LruCache[str, CanonicalForm] = LruCache(512)
-#: store key -> entry dict (the in-process tier above the disk store).
-_ENTRY_CACHE: LruCache[str, dict] = LruCache(256)
+#: (store identity, store key) -> entry dict: the in-process tier above
+#: each disk store.  Keyed by store too, so an entry published to one
+#: store never answers a lookup in another.
+_ENTRY_CACHE: LruCache[Tuple[str, str], dict] = LruCache(256)
 
 
 def cached_canonical_form(ddg: Ddg) -> CanonicalForm:
@@ -130,7 +132,8 @@ def lookup(
         form.digest, canonical_machine_digest(machine), fingerprint
     )
     stats = StoreStats(enabled=True, key=key)
-    entry = _ENTRY_CACHE.get(key)
+    memory_key = (store.identity, key)
+    entry = _ENTRY_CACHE.get(memory_key)
     tier = "memory" if entry is not None else None
     if entry is None:
         entry = store.read(key)
@@ -141,13 +144,13 @@ def lookup(
         return None, stats
     result = _validated_result(entry, form, ddg, machine, config, max_extra)
     if result is None:
-        _ENTRY_CACHE.pop(key)
+        _ENTRY_CACHE.pop(memory_key)
         store.delete(key)
         stats.evicted = True
         stats.seconds = time.monotonic() - clock
         return None, stats
     if tier == "disk":
-        _ENTRY_CACHE.put(key, entry)
+        _ENTRY_CACHE.put(memory_key, entry)
     stats.hit = True
     stats.tier = tier
     stats.verified = True
@@ -209,7 +212,7 @@ def publish(
         },
     )
     store.write(key, entry)
-    _ENTRY_CACHE.put(key, entry)
+    _ENTRY_CACHE.put((store.identity, key), entry)
     if stats is not None:
         stats.published = True
     return True

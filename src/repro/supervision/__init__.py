@@ -1,6 +1,6 @@
 """Fault-tolerant supervision of out-of-process solves.
 
-The scheduling drivers (sequential sweep, period race, corpus batch)
+The scheduling drivers (supervised sweep, period race, corpus batch)
 hand long ILP solves to worker processes; this package is the layer
 that assumes those workers will hang, crash, or eat all the memory —
 and turns every such event into data instead of a dead run:
@@ -11,8 +11,6 @@ and turns every such event into data instead of a dead run:
 * :mod:`~repro.supervision.executor` — a process pool with hard
   wall-clock deadlines (SIGKILL, not trust), per-worker memory caps,
   crash recovery and bounded retry with exponential backoff;
-* :mod:`~repro.supervision.runner` — the same guarantees for the
-  sequential driver's per-attempt solves;
 * :mod:`~repro.supervision.signals` — SIGINT/SIGTERM as graceful
   degrade-to-incumbent, not stack traces;
 * :mod:`~repro.supervision.journal` — JSONL checkpoint/resume for batch
@@ -47,7 +45,6 @@ from repro.supervision.records import (
     FailureRecord,
     SupervisionPolicy,
 )
-from repro.supervision.runner import SupervisedAttemptRunner
 from repro.supervision.signals import (
     clear_interrupt,
     graceful_interrupts,
@@ -67,7 +64,6 @@ __all__ = [
     "JournalError",
     "OOM",
     "SOLVER_ERROR",
-    "SupervisedAttemptRunner",
     "SupervisedExecutor",
     "SupervisedTask",
     "SupervisionPolicy",

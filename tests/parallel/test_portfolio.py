@@ -76,6 +76,21 @@ class TestRoster:
         with pytest.raises(SchedulingError, match="feasibility"):
             _validate_roster(("highs", "sat"), "min_sum_t")
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_single_sat_with_optimization_objective_rejected(
+        self, ddg, machine, tmp_path, jobs
+    ):
+        # A roster of one gets the same check, before any dispatch (the
+        # heuristic's start used to come back labelled "optimal").
+        with pytest.raises(SchedulingError, match="feasibility"):
+            race_periods(ddg, machine, jobs=jobs, backend="sat",
+                         objective="min_sum_t")
+        path = tmp_path / "loop.ddg"
+        path.write_text(serialize_ddg(ddg), encoding="utf-8")
+        with pytest.raises(SchedulingError, match="feasibility"):
+            run_batch([path], machine, jobs=jobs, backend="sat",
+                      objective="min_sum_t")
+
     def test_schedule_loop_refuses_portfolio(self, ddg, machine):
         with pytest.raises(SchedulingError, match="racing driver"):
             schedule_loop(ddg, machine, backend="portfolio")

@@ -179,6 +179,67 @@ class TestRaceBookkeeping:
         assert par.is_rate_optimal_proven
 
 
+class TestInterruptedRace:
+    """An interrupt that leaves periods below the provisional winner
+    undispatched must not yield a clean, publishable result."""
+
+    @pytest.fixture
+    def interrupt_after_heuristic(self, monkeypatch):
+        # As when SIGINT lands during the heuristic pre-pass.
+        from repro.parallel import race
+        from repro.supervision.signals import (
+            clear_interrupt,
+            request_interrupt,
+        )
+
+        heuristic_pass = race.heuristic_pass
+
+        def heuristic_then_interrupt(*args, **kwargs):
+            outcome = heuristic_pass(*args, **kwargs)
+            request_interrupt()
+            return outcome
+
+        monkeypatch.setattr(
+            race, "heuristic_pass", heuristic_then_interrupt
+        )
+        yield
+        clear_interrupt()
+
+    @pytest.mark.parametrize("driver", ["jobs1", "jobs2", "supervised"])
+    def test_lost_periods_degrade_and_stay_unpublished(
+        self, machine, tmp_path, interrupt_after_heuristic, driver
+    ):
+        from repro.store.tiering import clear_tiers
+        from repro.supervision.records import SupervisionPolicy
+        from repro.supervision.signals import clear_interrupt
+
+        store = tmp_path / "store"
+        if driver == "supervised":
+            result = schedule_loop(
+                motivating_example(), machine, store=store,
+                supervision=SupervisionPolicy(max_retries=0),
+            )
+        else:
+            result = race_periods(
+                motivating_example(), machine, store=store,
+                jobs=1 if driver == "jobs1" else 2,
+            )
+        assert result.achieved_t == 4
+        assert result.degraded
+        assert not result.is_rate_optimal_proven
+        assert result.lost_cells() == [{
+            "t": 3, "backend": "", "kind": "interrupted",
+            "detail": "race interrupted (SIGINT/SIGTERM)",
+        }]
+        assert not result.store.published
+        # A clean follow-up run misses, proves T=4 and publishes it.
+        clear_interrupt()
+        clear_tiers()
+        clean = schedule_loop(motivating_example(), machine, store=store)
+        assert not clean.store.hit and clean.store.published
+        assert clean.is_rate_optimal_proven
+
+
 class TestRaceOnRealMachine:
     def test_ppc_loop(self):
         machine = powerpc604()

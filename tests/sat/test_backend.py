@@ -182,6 +182,24 @@ class TestWarmStartAndMemo:
         assert again.status == SolveStatus.OPTIMAL
         assert again.stats.get("sat_warm_shortcircuit") == 1.0
 
+    def test_valid_start_refused_under_other_objective(self, machine):
+        # A valid start proves feasibility, not optimality of another
+        # objective: the short-circuit must not claim OPTIMAL.
+        from repro.core.warmstart import (
+            compute_warmstart,
+            violated_rows,
+            warmstart_assignment,
+        )
+
+        ws = compute_warmstart(motivating_example(), machine, 10)
+        f = _formulation(
+            motivating_example(), machine, ws.ii, objective="min_sum_t"
+        )
+        start = warmstart_assignment(f, ws.schedule)
+        assert start and not violated_rows(f, start)
+        with pytest.raises(SatEncodeError, match="feasibility-only"):
+            solve_formulation(f, mip_start=start)
+
     def test_invalid_start_still_solves(self, machine):
         f = _formulation(motivating_example(), machine, 4)
         bogus = {var: 0.0 for var in f.model.variables}

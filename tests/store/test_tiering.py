@@ -101,6 +101,23 @@ class TestLookupTiers:
         stored, _ = lookup(store, ddg, machine, other, 10)
         assert stored is None
 
+    def test_memory_tier_is_per_store(self, tmp_path, machine):
+        # An entry published to store A must not answer a lookup in a
+        # fresh store B of the same process: B misses, then publishes.
+        ddg = motivating_example()
+        first = ScheduleStore(tmp_path / "a")
+        second = ScheduleStore(tmp_path / "b")
+        assert run_sweep(ddg, machine, CONFIG, 10, store=first).store.published
+        stored, stats = lookup(second, ddg, machine, CONFIG, 10)
+        assert stored is None and not stats.hit
+        result = run_sweep(ddg, machine, CONFIG, 10, store=second)
+        assert not result.store.hit and result.store.published
+        assert len(second) == 1
+        # The same directory under another spelling is the same store.
+        alias = ScheduleStore(tmp_path / "b" / ".." / "b")
+        _, stats = lookup(alias, ddg, machine, CONFIG, 10)
+        assert stats.tier == "memory"
+
     def test_speed_knobs_still_hit(self, store, machine):
         ddg = motivating_example()
         run_sweep(ddg, machine, CONFIG, 10, store=store)

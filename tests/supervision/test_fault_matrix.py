@@ -6,9 +6,10 @@ the driver turned it into a :class:`FailureRecord` (with the promised
 retry counts and statuses) while still producing its best possible
 answer — never an exception out of the driver.
 
-Crash/hang/oom faults only fire in *worker processes* (the sequential
-driver goes through its supervised runner, race/batch through the
-supervised pool), so the test process itself is never killed.
+Crash/hang/oom faults only fire in *worker processes*: every driver
+given a policy runs on the supervised pool, at every ``jobs`` (the
+supervised sequential sweep is the race at ``jobs=1``), so the test
+process itself is never killed.
 """
 
 import random
@@ -75,13 +76,17 @@ def _failed(result, kind):
 class TestSequentialSupervised:
     """schedule_loop(..., supervision=policy) survives every fault."""
 
+    @staticmethod
+    def sweep(ddg, machine, policy, **kwargs):
+        return schedule_loop(ddg, machine, supervision=policy, **kwargs)
+
     def test_crash_retried_then_recorded_and_sweep_continues(
         self, monkeypatch, ddg, machine
     ):
         t_lb = lower_bounds(ddg, machine).t_lb
         monkeypatch.setenv(ENV_VAR, f"crash@attempt:t={t_lb}")
-        result = schedule_loop(
-            ddg, machine, time_limit_per_t=10.0, supervision=RETRY_ONE
+        result = self.sweep(
+            ddg, machine, RETRY_ONE, time_limit_per_t=10.0
         )
         (crashed,) = _failed(result, CRASH)
         assert crashed.t_period == t_lb
@@ -101,8 +106,8 @@ class TestSequentialSupervised:
             ENV_VAR, f"hang@attempt:t={t_lb}:seconds=60"
         )
         start = time.monotonic()
-        result = schedule_loop(
-            ddg, machine, time_limit_per_t=10.0, supervision=HANG_KILL
+        result = self.sweep(
+            ddg, machine, HANG_KILL, time_limit_per_t=10.0
         )
         (hung,) = _failed(result, HANG)
         assert hung.t_period == t_lb
@@ -115,8 +120,8 @@ class TestSequentialSupervised:
     def test_oom_recorded_without_retry(self, monkeypatch, ddg, machine):
         t_lb = lower_bounds(ddg, machine).t_lb
         monkeypatch.setenv(ENV_VAR, f"oom@attempt:t={t_lb}:mb=16")
-        result = schedule_loop(
-            ddg, machine, time_limit_per_t=10.0, supervision=RETRY_ONE
+        result = self.sweep(
+            ddg, machine, RETRY_ONE, time_limit_per_t=10.0
         )
         (oomed,) = _failed(result, OOM)
         assert oomed.failure.attempt == 1  # OOM is not retryable
@@ -126,8 +131,8 @@ class TestSequentialSupervised:
         self, monkeypatch, ddg, machine
     ):
         monkeypatch.setenv(ENV_VAR, "malformed@solve:times=1")
-        result = schedule_loop(
-            ddg, machine, time_limit_per_t=10.0, supervision=NO_RETRY,
+        result = self.sweep(
+            ddg, machine, NO_RETRY, time_limit_per_t=10.0,
             # min_sum_t forces a real ILP solve at the heuristic's II.
             objective="min_sum_t",
         )
@@ -143,6 +148,61 @@ class TestSequentialSupervised:
         assert result.degraded
         assert result.schedule is not None
         assert result.attempts[-1].status == DEGRADED
+
+
+class TestSequentialRaceSupervised(TestSequentialSupervised):
+    """The same fault cells through ``race_periods(jobs=1, policy=...)``.
+
+    ``schedule_loop(supervision=policy)`` forwards to exactly this race,
+    so both must report the same verdicts under every fault.
+    """
+
+    @staticmethod
+    def sweep(ddg, machine, policy, **kwargs):
+        return race_periods(ddg, machine, jobs=1, policy=policy, **kwargs)
+
+    def test_interrupt_degrades_to_heuristic_incumbent(
+        self, ddg, machine
+    ):
+        # The race settles the heuristic's period before dispatch, so an
+        # interrupt loses only the periods below it.
+        t_lb = lower_bounds(ddg, machine).t_lb
+        request_interrupt()
+        result = self.sweep(ddg, machine, NO_RETRY, time_limit_per_t=10.0)
+        assert result.degraded
+        assert result.schedule is not None
+        assert not result.is_rate_optimal_proven
+        assert [c["t"] for c in result.lost_cells()] == [t_lb]
+        assert _failed(result, INTERRUPTED)
+
+    @pytest.mark.parametrize("fault,policy,kwargs", [
+        ("crash@attempt:t={t_lb}", RETRY_ONE, {}),
+        ("hang@attempt:t={t_lb}:seconds=60", HANG_KILL, {}),
+        ("oom@attempt:t={t_lb}:mb=16", RETRY_ONE, {}),
+        ("malformed@solve:times=1", NO_RETRY, {"objective": "min_sum_t"}),
+    ], ids=["crash", "hang", "oom", "malformed"])
+    def test_matches_supervised_schedule_loop(
+        self, monkeypatch, ddg, machine, fault, policy, kwargs
+    ):
+        t_lb = lower_bounds(ddg, machine).t_lb
+
+        def verdict(result):
+            return (
+                result.achieved_t, result.is_rate_optimal_proven,
+                result.degraded,
+                [(a.t_period, a.status) for a in result.attempts],
+            )
+
+        monkeypatch.setenv(ENV_VAR, fault.format(t_lb=t_lb))
+        raced = self.sweep(
+            ddg, machine, policy, time_limit_per_t=10.0, **kwargs
+        )
+        swept = TestSequentialSupervised.sweep(
+            ddg, machine, policy, time_limit_per_t=10.0, **kwargs
+        )
+        assert verdict(raced) == verdict(swept)
+        # Every fault loses a period at or below the winner.
+        assert raced.degraded
 
 
 class TestRaceSupervised:
@@ -294,6 +354,21 @@ class TestBatchSupervised:
         assert failed.failure.kind == HANG
         assert failed.failure.elapsed < 10.0
         assert time.monotonic() - start < 40.0
+        assert report.scheduled == 2
+
+    def test_policy_supervises_jobs_1(self, monkeypatch, corpus):
+        # A policy picks the supervised pool at jobs=1 too: the hung
+        # loop is killed at deadline + grace, not waited out.
+        machine, paths = corpus
+        monkeypatch.setenv(ENV_VAR, "hang@batch:loop=t1:seconds=20")
+        start = time.monotonic()
+        report = run_batch(
+            paths, machine, jobs=1, time_limit_per_t=10.0,
+            policy=HANG_KILL,
+        )
+        assert time.monotonic() - start < 10.0
+        failed = self._entry(report, "t1")
+        assert failed.failure.kind == HANG
         assert report.scheduled == 2
 
     def test_oom_isolated(self, monkeypatch, corpus):
